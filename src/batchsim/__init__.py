@@ -14,14 +14,14 @@ from .plant import (BatchHeaterPlant, FEASIBILITY_MARGIN,
                     WearRateGenerator, feasible_control_range, wear_rate)
 from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
                    OperationEvaluator, OperationRecord, UnknownCriterion,
-                   aggregate_costs, compute_indicators, evaluate_criterion,
-                   get_criterion)
+                   aggregate_costs, compute_indicators, get_criterion)
 from .sweep import (DEFAULT_DT, ExtremumResult, InfeasibleRange,
-                    NoValidRecords, SweepConfig, SweepReport, find_extremum,
+                    NoValidRecords, SweepReport, find_extremum,
                     oracle_cost_curve, oracle_heating_time, oracle_operation,
                     run_single, run_sweep)
-from .config import (ParseError, ValidationError, load_config, parse_config,
-                     validate_plant_config, validate_sweep_config)
+from .config import (ParseError, SweepConfig, ValidationError, load_config,
+                     parse_config, validate_plant_config,
+                     validate_sweep_config)
 from .reportio import (CSV_HEADER, read_operations_csv, write_report)
 
 __version__ = "0.1.0"

@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the optimization criterion")
     sweep.add_argument("--dt", type=float, default=DEFAULT_DT,
                        help="simulation step in seconds (default %(default)s)")
-    sweep.add_argument("--parallel", action="store_true",
-                       help="run scan points in independent graphs")
 
     once = sub.add_parser("run-once", parents=[common],
                           help="simulate a single operation")
@@ -65,10 +63,7 @@ def _cmd_sweep(args) -> int:
     plant_cfg, sweep_cfg = load_config(args.config)
     if args.criterion:
         sweep_cfg = replace(sweep_cfg, criterion=args.criterion)
-    if args.dt <= 0.0:
-        raise ValidationError("dt", "must be > 0")
-    report = run_sweep(plant_cfg, sweep_cfg, dt=args.dt,
-                       parallel=args.parallel)
+    report = run_sweep(plant_cfg, sweep_cfg, dt=args.dt)
     paths = write_report(report, args.out)
     ext = report.extremum
     print(f"wrote {paths[0]} and {paths[1]}")
@@ -80,8 +75,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_run_once(args) -> int:
     plant_cfg, sweep_cfg = load_config(args.config)
-    if args.dt <= 0.0:
-        raise ValidationError("dt", "must be > 0")
     report = run_single(plant_cfg, args.k, dt=args.dt,
                         tick_budget=sweep_cfg.tick_budget,
                         criterion=sweep_cfg.criterion)

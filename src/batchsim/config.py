@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import configparser
 import math
+from dataclasses import dataclass
 
 from .econ import BUILTIN_CRITERIA
 from .plant import PlantConfig, UnitCosts
-from .sweep import SweepConfig
 
 
 class ParseError(Exception):
@@ -33,6 +33,22 @@ class ValidationError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+@dataclass(frozen=True, slots=True)
+class SweepConfig:
+    """Scan settings for the control range."""
+
+    k_min: float
+    k_max: float
+    k_step: float
+    direction: str = "ascending"
+    criterion: str = "efficiency"
+    stop_on_boundary: bool = True
+    tick_budget: int = 2_000_000
+
+    def direction_code(self) -> int:
+        return 1 if self.direction == "descending" else 0
 
 
 def _to_float(field: str, raw: str) -> float:

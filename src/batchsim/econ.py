@@ -137,28 +137,13 @@ def compute_indicators(re: float, pe: float, t_op: float,
             True)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentifiedOperation:
-    """Raw evaluator log entry; the sweep joins it with report rows."""
-
-    re: float
-    pe: float
-    t_op: float
-    prf: float
-    rnt: float
-    r: float
-    e: float
-    valid: bool
-
-
 class OperationEvaluator(Block):
     """Computes derived indicators once per operation.
 
     Reads the aggregated costs (RE, PE) and the measured duration (TO)
-    whenever the FIN pulse marks an operation as complete, appends an
-    immutable log entry and exposes the derived indicators on the PRF,
-    RNT, R and E level outputs.  For a degenerate operation the log entry
-    carries NaNs but the live ports hold their previous finite values, so
+    whenever the FIN pulse marks an operation as complete and exposes the
+    derived indicators on the PRF, RNT, R and E level outputs.  For a
+    degenerate operation the ports hold their previous finite values, so
     the numeric fault screen stays quiet.
     """
 
@@ -171,7 +156,6 @@ class OperationEvaluator(Block):
         super().__init__(name)
         self._r_fn = resource_intensity
         self._e_fn = efficiency
-        self.records: list[IdentifiedOperation] = []
 
     def evaluate(self, clock: SimClock) -> None:
         if self.read("FIN") <= 0.5:
@@ -181,8 +165,6 @@ class OperationEvaluator(Block):
         t_op = self.read("TO")
         prf, rnt, r, e, valid = compute_indicators(
             re, pe, t_op, self._r_fn, self._e_fn)
-        self.records.append(
-            IdentifiedOperation(re, pe, t_op, prf, rnt, r, e, valid))
         if valid:
             out = self.out
             out["PRF"] = prf
@@ -190,7 +172,3 @@ class OperationEvaluator(Block):
             out["R"] = r
             out["E"] = e
 
-
-def evaluate_criterion(criterion: Criterion, record: OperationRecord) -> float:
-    """Score one valid record under a criterion; higher is better."""
-    return criterion.score(record.re, record.pe, record.t_op)

@@ -21,8 +21,6 @@ from .kernel import Block, SimClock, SimulationError
 
 # Phase codes (ints keep the per-tick dispatch cheap).
 IDLE, FILLING, HEATING, RELEASING = 0, 1, 2, 3
-PHASE_NAMES = {IDLE: "idle", FILLING: "filling", HEATING: "heating",
-               RELEASING: "releasing"}
 
 # Safety margin applied above the asymptotic feasibility bound so heating
 # time stays finite and numerically stable at the low end of a sweep.
@@ -76,17 +74,12 @@ class PlantConfig:
 
 @dataclass(slots=True)
 class PlantState:
-    """Per-tick state of one plant instance."""
+    """Per-tick state of one plant instance.  Flow volumes are metered
+    outside the plant, by integrators on the RT, RP and PT rate outputs."""
 
     phase: int = IDLE
     temp: float = 0.0
     mass_in_vessel: float = 0.0
-    load_level: float = 0.0
-    # Flow volumes accumulated since the start of the current operation.
-    rtv: float = 0.0   # raw product in, kg
-    rpv: float = 0.0   # energy product in, J
-    ptv: float = 0.0   # output product out, kg
-    rwv: float = 0.0   # equipment wear, life fraction
 
 
 def wear_rate(control_k: float, config: PlantConfig) -> float:
@@ -148,8 +141,6 @@ class BatchHeaterPlant(Block):
         self._h = c.loss_coeff
         self._p_nom = c.heater_nominal_power
         self._p_eta = c.heater_nominal_power * c.heater_efficiency
-        self._alpha = c.wear_alpha
-        self._t_n = c.wear_t_nominal
         self._loss_at_setpoint = c.loss_coeff * (c.setpoint - c.ambient_temp)
         self._mass_eps = 1e-9 * c.batch_volume
         self.out["TMP"] = self.state.temp
@@ -164,21 +155,16 @@ class BatchHeaterPlant(Block):
         if phase == HEATING:
             k = self.read("CL")
             rp = k * self._p_nom
-            state.load_level = k
-            state.rpv += rp * dt
-            state.rwv += (k ** self._alpha / self._t_n) * dt
             temp = state.temp
             temp += dt * (k * self._p_eta - self._h * (temp - self._t_amb)) / self._c
             state.temp = temp
             if temp >= self._setpoint:
-                state.load_level = 0.0
                 state.phase = RELEASING
                 self.pulse("RED")
         elif phase == FILLING:
             room = self._batch - state.mass_in_vessel
             rt = self._fill if room >= self._fill * dt else room / dt
             state.mass_in_vessel += rt * dt
-            state.rtv += rt * dt
             if state.mass_in_vessel >= self._batch - self._mass_eps:
                 state.mass_in_vessel = self._batch
                 state.phase = HEATING
@@ -187,7 +173,6 @@ class BatchHeaterPlant(Block):
             mass = state.mass_in_vessel
             pt = self._release if mass >= self._release * dt else mass / dt
             mass -= pt * dt
-            state.ptv += pt * dt
             if mass <= self._mass_eps:
                 mass = 0.0
                 state.phase = IDLE
@@ -202,7 +187,6 @@ class BatchHeaterPlant(Block):
                 state.phase = FILLING
                 state.temp = self._t_amb
                 state.mass_in_vessel = 0.0
-                state.rtv = state.rpv = state.ptv = state.rwv = 0.0
                 self.pulse("RTB")
 
         out["RT"] = rt

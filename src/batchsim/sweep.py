@@ -13,25 +13,22 @@ bracketing an extremum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from math import log1p
+from dataclasses import dataclass
+from math import inf, log1p
 
 from . import econ
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
                      RangeScanner, ReportGenerator, ResettableIntegrator,
                      Summator, UnitDelay, enumerate_scan_values)
+from .config import SweepConfig, ValidationError
 from .econ import (Criterion, OperationRecord, OperationEvaluator,
-                   get_criterion)
+                   compute_indicators, get_criterion)
 from .kernel import (BlockGraph, SimClock, SimulationError,
                      TickBudgetExceeded, build_graph, run_until)
 from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
                     feasible_control_range)
 
 DEFAULT_DT = 0.1
-
-_SERIES_COLUMNS = ("control_k", "t_op", "rtv", "rpv", "ptv", "rwv",
-                   "re", "pe", "prf", "rnt", "r", "e")
 
 
 class InfeasibleRange(SimulationError):
@@ -40,22 +37,6 @@ class InfeasibleRange(SimulationError):
 
 class NoValidRecords(SimulationError):
     """Extremum requested over a record set with no valid entries."""
-
-
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
-    """Scan settings for the control range."""
-
-    k_min: float
-    k_max: float
-    k_step: float
-    direction: str = "ascending"
-    criterion: str = "efficiency"
-    stop_on_boundary: bool = True
-    tick_budget: int = 2_000_000
-
-    def direction_code(self) -> int:
-        return 1 if self.direction == "descending" else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,19 +52,16 @@ class ExtremumResult:
 class SweepReport:
     """Ordered sweep outcome plus the located extremum.
 
-    ``pulse_times`` holds, per record, the second-valued times of the
-    four phase pulses of that operation (keys rtb, rtf, red, ptf);
-    ``pulse_events`` is the raw ordered (channel, time) stream they were
-    grouped from, kept for protocol verification.
+    ``pulse_events`` is the ordered (channel, time) stream of the four
+    phase pulses (rtb, rtf, red, ptf), times in seconds from the start of
+    the run, kept for protocol verification.
     """
 
     records: list[OperationRecord]
     criterion: str
     extremum: ExtremumResult
-    series: dict[str, list[float]] = field(default_factory=dict)
-    pulse_times: list[dict[str, float]] = field(default_factory=list)
-    pulse_events: list[tuple[str, float]] = field(default_factory=list)
-    dt: float = DEFAULT_DT
+    pulse_events: list[tuple[str, float]]
+    dt: float
 
 
 def oracle_heating_time(config: PlantConfig, control_k: float) -> float:
@@ -161,7 +139,7 @@ def find_extremum(records: list[OperationRecord],
 
 def _instrument_wiring(plant_cfg: PlantConfig,
                        control_out: str) -> tuple[list, list]:
-    """Blocks and wires shared by the serial and single-operation graphs:
+    """Blocks and wires shared by the sweep and single-operation graphs:
     plant, wear generator, four reset integrators, cost network, timer,
     evaluator and report latch.  ``control_out`` names the port driving
     the plant load level (and report channel 1)."""
@@ -222,7 +200,7 @@ def _instrument_wiring(plant_cfg: PlantConfig,
 
 
 def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
-    """Full serial protocol graph.
+    """Full sweep protocol graph.
 
     A one-shot pulse strobes the scanner at tick 0; afterwards each
     operation-complete pulse, delayed one tick to break the feedback
@@ -274,82 +252,57 @@ def _make_pulse_observer(graph: BlockGraph):
     return events, observer
 
 
-def _group_pulse_events(events: list[tuple[str, int]],
-                        dt: float) -> list[dict[str, float]]:
-    """Per-operation pulse times; a trailing operation cut off by the
-    system stop is dropped."""
-    ops: list[dict[str, float]] = []
-    current: dict[str, float] = {}
-    for channel, tick in events:
-        if channel == "rtb":
-            current = {}
-        current[channel] = tick * dt
-        if channel == "ptf":
-            ops.append(current)
-            current = {}
-    return ops
-
-
-def _assemble_records(report: ReportGenerator,
-                      evaluator: OperationEvaluator) -> list[OperationRecord]:
+def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
+    """Records from the latched rows; the derived indicators come from the
+    same PTF-tick costs and duration the evaluator reads."""
     records = []
-    for row, ident in zip(report.rows, evaluator.records):
-        v = row.values
+    for row in report.rows:
+        k, t_op, rtv, rpv, ptv, rwv, re, pe = row.values[:8]
         records.append(OperationRecord(
-            num=row.num, control_k=v[0], t_op=v[1],
-            rtv=v[2], rpv=v[3], ptv=v[4], rwv=v[5],
-            re=v[6], pe=v[7],
-            prf=ident.prf, rnt=ident.rnt, r=ident.r, e=ident.e,
-            valid=ident.valid))
+            row.num, k, t_op, rtv, rpv, ptv, rwv, re, pe,
+            *compute_indicators(re, pe, t_op)))
     return records
 
 
 def _finalize(records: list[OperationRecord], criterion: Criterion,
               events: list[tuple[str, int]], dt: float) -> SweepReport:
-    extremum = find_extremum(records, criterion)
-    series = {col: [getattr(r, col) for r in records]
-              for col in _SERIES_COLUMNS}
     pulse_events = [(channel, tick * dt) for channel, tick in events]
-    return SweepReport(records, criterion.name, extremum, series,
-                       _group_pulse_events(events, dt), pulse_events, dt)
+    return SweepReport(records, criterion.name,
+                       find_extremum(records, criterion), pulse_events, dt)
 
 
-def _check_feasible(plant_cfg: PlantConfig, sweep: SweepConfig) -> None:
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < inf:  # also false for NaN
+        raise ValidationError("dt", f"must be finite and > 0, got {dt!r}")
+
+
+def _check_feasible(plant_cfg: PlantConfig, control_k: float) -> None:
     k_floor = feasible_control_range(plant_cfg)
-    if sweep.k_min < k_floor:
+    if control_k < k_floor:
         raise InfeasibleRange(
-            f"k_min={sweep.k_min:g} is below the feasible control floor "
+            f"control {control_k:g} is below the feasible control floor "
             f"{k_floor:g}")
 
 
-def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
-              dt: float = DEFAULT_DT, parallel: bool = False) -> SweepReport:
-    """Run one complete operation per scan point and rank the records.
+def _unfinished(exc: TickBudgetExceeded,
+                control_k: float) -> TickBudgetExceeded:
+    err = TickBudgetExceeded(
+        exc.tick, detail=f"operation at control {control_k:g} unfinished")
+    err.control_k = control_k
+    return err
 
-    Serial mode (default) exercises the full strobe protocol through the
-    scanner block.  Parallel mode runs each scan point in its own
-    independent graph; the scan sequence is precomputed with the exact
-    arithmetic the scanner uses, so both modes produce identical records.
-    """
-    _check_feasible(plant_cfg, sweep)
+
+def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
+              dt: float = DEFAULT_DT) -> SweepReport:
+    """Run one complete operation per scan point through the scanner's
+    strobe protocol and rank the records."""
+    _check_dt(dt)
+    _check_feasible(plant_cfg, sweep.k_min)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
     criterion = get_criterion(sweep.criterion)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, len(ks))) as pool:
-            results = list(pool.map(
-                lambda k: _single_operation(plant_cfg, k, dt,
-                                            sweep.tick_budget), ks))
-        records = [replace(rec, num=i + 1)
-                   for i, (rec, _) in enumerate(results)]
-        # Event times are graph-local (each operation ran from tick 0).
-        events = [event for _, op_events in results for event in op_events]
-        return _finalize(records, criterion, events, dt)
-
     graph = build_sweep_graph(plant_cfg, sweep)
-    clock = SimClock(dt)
     report: ReportGenerator = graph.block("report")
-    evaluator: OperationEvaluator = graph.block("evaluator")
     events, observer = _make_pulse_observer(graph)
     n_ops = len(ks)
     if sweep.stop_on_boundary:
@@ -359,53 +312,30 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
         def predicate(g, c):
             return len(report.rows) >= n_ops
     try:
-        run_until(graph, clock, predicate, tick_budget=sweep.tick_budget,
-                  observer=observer)
+        run_until(graph, SimClock(dt), predicate,
+                  tick_budget=sweep.tick_budget, observer=observer)
     except TickBudgetExceeded as exc:
-        active_k = ks[min(len(report.rows), n_ops - 1)]
-        err = TickBudgetExceeded(
-            exc.tick, detail=f"operation at control {active_k:g} unfinished")
-        err.control_k = active_k
-        raise err from None
+        raise _unfinished(exc, ks[min(len(report.rows), n_ops - 1)]) from None
     if len(report.rows) != n_ops:
         raise SimulationError(
             f"sweep stopped with {len(report.rows)} of {n_ops} operations")
-    records = _assemble_records(report, evaluator)
-    return _finalize(records, criterion, events, dt)
-
-
-def _single_operation(plant_cfg: PlantConfig, control_k: float, dt: float,
-                      tick_budget: int) -> tuple[OperationRecord,
-                                                 list[tuple[str, int]]]:
-    """One complete operation at a fixed control in a fresh graph."""
-    graph = build_single_graph(plant_cfg, control_k)
-    clock = SimClock(dt)
-    evaluator: OperationEvaluator = graph.block("evaluator")
-    events, observer = _make_pulse_observer(graph)
-
-    def predicate(g, c):
-        return len(evaluator.records) >= 1
-
-    try:
-        run_until(graph, clock, predicate, tick_budget=tick_budget,
-                  observer=observer)
-    except TickBudgetExceeded as exc:
-        err = TickBudgetExceeded(
-            exc.tick, detail=f"operation at control {control_k:g} unfinished")
-        err.control_k = control_k
-        raise err from None
-    report: ReportGenerator = graph.block("report")
-    record = _assemble_records(report, evaluator)[0]
-    return record, events
+    return _finalize(_assemble_records(report), criterion, events, dt)
 
 
 def run_single(plant_cfg: PlantConfig, control_k: float,
                dt: float = DEFAULT_DT, tick_budget: int = 2_000_000,
                criterion: str = "efficiency") -> SweepReport:
-    """Single-operation run packaged as a one-record report."""
-    k_floor = feasible_control_range(plant_cfg)
-    if control_k < k_floor:
-        raise InfeasibleRange(
-            f"control {control_k:g} is below the feasible floor {k_floor:g}")
-    record, events = _single_operation(plant_cfg, control_k, dt, tick_budget)
-    return _finalize([record], get_criterion(criterion), events, dt)
+    """One complete operation at a fixed control in a fresh graph,
+    packaged as a one-record report."""
+    _check_dt(dt)
+    _check_feasible(plant_cfg, control_k)
+    graph = build_single_graph(plant_cfg, control_k)
+    report: ReportGenerator = graph.block("report")
+    events, observer = _make_pulse_observer(graph)
+    try:
+        run_until(graph, SimClock(dt), lambda g, c: len(report.rows) >= 1,
+                  tick_budget=tick_budget, observer=observer)
+    except TickBudgetExceeded as exc:
+        raise _unfinished(exc, control_k) from None
+    return _finalize(_assemble_records(report), get_criterion(criterion),
+                     events, dt)

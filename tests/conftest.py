@@ -29,6 +29,20 @@ def make_reference_plant() -> PlantConfig:
     )
 
 
+def operation_pulses(report) -> list[dict[str, float]]:
+    """Per-operation phase-pulse times (keys rtb, rtf, red, ptf) grouped
+    from the report's pulse stream; a trailing operation cut off by the
+    system stop is dropped."""
+    ops: list[dict[str, float]] = []
+    current: dict[str, float] = {}
+    for channel, t in report.pulse_events:
+        current[channel] = t
+        if channel == "ptf":
+            ops.append(current)
+            current = {}
+    return ops
+
+
 def make_reference_sweep() -> SweepConfig:
     return SweepConfig(k_min=0.6, k_max=3.0, k_step=0.2,
                        direction="ascending", criterion="efficiency",

@@ -17,7 +17,16 @@ from batchsim import (FlowVolumes, PulseTrain, RangeScanner, SimClock,
                       oracle_cost_curve, oracle_heating_time, run_sweep,
                       step, wear_rate, write_report)
 
-from conftest import make_reference_plant, make_reference_sweep
+from conftest import (make_reference_plant, make_reference_sweep,
+                      operation_pulses)
+
+# sha256 of the reference sweep's report files at dt=0.1.
+GOLDEN_DIGESTS = {
+    "operations.csv":
+        "96e5851c6a05d5e9eafac00b1c78e675f037ba661c059f8064d00e61ce0b4b01",
+    "summary.txt":
+        "7132bcd916fcc41b5f0d4a62c83bd04014f6dd34d80c479392e29dbdf73ec32a",
+}
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -88,7 +97,7 @@ def test_criterion_4_thermal_oracle_and_convergence(reference_plant,
     def heating_errors(dt):
         report = run_sweep(reference_plant, reference_sweep, dt=dt)
         errors = []
-        for rec, pulses in zip(report.records, report.pulse_times):
+        for rec, pulses in zip(report.records, operation_pulses(report)):
             simulated = pulses["red"] - pulses["rtf"]
             expected = oracle_heating_time(reference_plant, rec.control_k)
             errors.append(abs(simulated - expected) / expected)
@@ -237,3 +246,9 @@ def test_criterion_9_determinism_and_pulse_protocol(
     _verdict(9, "byte-identical reruns and strict pulse ordering",
              identical and protocol_ok,
              f"{complete} complete operations, residue {residue}")
+
+
+def test_reference_report_matches_golden_digests(coarse_report, tmp_path):
+    paths = write_report(coarse_report, tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths} == GOLDEN_DIGESTS

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -73,7 +74,6 @@ class TestParseConfig:
     def test_validators_cover_field_constraints(self):
         plant = make_reference_plant()
         validate_plant_config(plant)  # reference passes
-        from dataclasses import replace
         bad = replace(plant, heater_efficiency=1.5)
         with pytest.raises(ValidationError) as excinfo:
             validate_plant_config(bad)
@@ -89,7 +89,6 @@ class TestParseConfig:
 def small_report():
     """A fast three-point sweep used for serialization tests."""
     plant, sweep = load_config(REFERENCE_INI)
-    from dataclasses import replace
     return run_sweep(plant, replace(sweep, k_min=2.0, k_max=3.0, k_step=0.5))
 
 
@@ -125,11 +124,10 @@ class TestWriteReport:
 
     def test_invalid_record_encodes_nan_indicators(self, small_report,
                                                    tmp_path):
-        from dataclasses import replace
         nan = float("nan")
         broken = replace(small_report.records[0], prf=nan, rnt=nan, r=nan,
                          e=nan, valid=False)
-        report = replace_records(small_report, [broken])
+        report = replace(small_report, records=[broken])
         csv_path, _ = write_report(report, tmp_path)
         row = csv_path.read_text().splitlines()[1].split(",")
         assert row[-1] == "0"
@@ -139,7 +137,7 @@ class TestWriteReport:
         assert math.isnan(parsed.rnt)
 
     def test_empty_report_refused(self, small_report, tmp_path):
-        report = replace_records(small_report, [])
+        report = replace(small_report, records=[])
         with pytest.raises(ValueError):
             write_report(report, tmp_path)
 
@@ -147,18 +145,10 @@ class TestWriteReport:
         target = tmp_path / "out"
         target.mkdir()
         (target / "operations.csv").write_text("sentinel")
-        bad = replace_records(small_report, [object()])  # unformattable
+        bad = replace(small_report, records=[object()])  # unformattable
         with pytest.raises(Exception):
             write_report(bad, target)
         assert (target / "operations.csv").read_text() == "sentinel"
-
-
-def replace_records(report, records):
-    from dataclasses import replace
-    from batchsim import SweepReport
-    return SweepReport(records=records, criterion=report.criterion,
-                       extremum=report.extremum, series=report.series,
-                       pulse_times=report.pulse_times, dt=report.dt)
 
 
 class TestCli:
@@ -213,6 +203,20 @@ class TestCli:
         records = read_operations_csv(out_dir / "operations.csv")
         assert len(records) == 1
         assert records[0].control_k == 1.5
+
+    @pytest.mark.parametrize("command", ["sweep", "run-once"])
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+    def test_bad_dt_names_field(self, tmp_path, capsys, command, dt):
+        rc = main([command, "--config", str(REFERENCE_INI),
+                   "--out", str(tmp_path / "results"), "--dt", dt])
+        assert rc == 1
+        assert "error: dt:" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_parallel_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", str(REFERENCE_INI),
+                  "--out", str(tmp_path), "--parallel"])
 
     def test_run_once_infeasible_k(self, tmp_path, capsys):
         rc = main(["run-once", "--config", str(REFERENCE_INI),

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchsim import (Constant, FlowVolumes, Multiplier, OperationEvaluator,
-                      OperationRecord, SimClock, Summator, UnitCosts,
-                      UnknownCriterion, aggregate_costs, build_graph,
-                      compute_indicators, evaluate_criterion, get_criterion,
-                      step)
+                      SimClock, Summator, UnitCosts, UnknownCriterion,
+                      aggregate_costs, build_graph, compute_indicators,
+                      get_criterion, step)
 
 from test_kernel import PulseAt
 
@@ -110,49 +109,43 @@ class TestOperationEvaluator:
                  ("to.OUT", "evaluator.TO"), ("fin.OUT", "evaluator.FIN")]
         return build_graph(blocks, wires)
 
+    @staticmethod
+    def _ports(graph):
+        return tuple(graph.value(f"evaluator.{port}")
+                     for port in ("PRF", "RNT", "R", "E"))
+
     def test_computes_on_fin_pulse_only(self):
         graph = self._graph(10.0, 15.0, 2.0)
-        evaluator = graph.block("evaluator")
         clock = SimClock(dt=0.1)
         for _ in range(3):
             step(graph, clock)
-        assert evaluator.records == []
+        assert self._ports(graph) == (0.0, 0.0, 0.0, 0.0)
         step(graph, clock)
-        assert len(evaluator.records) == 1
-        rec = evaluator.records[0]
-        assert (rec.prf, rec.rnt, rec.r, rec.e) == (5.0, 0.5, 20.0, 0.25)
-        assert graph.value("evaluator.PRF") == 5.0
+        assert self._ports(graph) == (5.0, 0.5, 20.0, 0.25)
+        graph.block("pe").out["OUT"] = 99.0  # inputs move between pulses
         for _ in range(5):
             step(graph, clock)
-        assert len(evaluator.records) == 1  # one record per FIN pulse
+        assert self._ports(graph) == (5.0, 0.5, 20.0, 0.25)
 
     def test_degenerate_operation_flags_record_keeps_ports_finite(self):
         graph = self._graph(0.0, 15.0, 2.0)
-        evaluator = graph.block("evaluator")
         clock = SimClock(dt=0.1)
         for _ in range(6):
             step(graph, clock)  # NumericFault would raise here
-        rec = evaluator.records[0]
-        assert not rec.valid
-        assert math.isnan(rec.rnt)
-        assert graph.value("evaluator.RNT") == 0.0
+        assert self._ports(graph) == (0.0, 0.0, 0.0, 0.0)
+        # Records take their indicators from the same function.
+        assert not compute_indicators(0.0, 15.0, 2.0)[4]
 
 
 class TestCriteria:
     def test_value_added(self):
-        rec = OperationRecord(1, 1.0, 2.0, 0, 0, 0, 0, re=10.0, pe=15.0,
-                              prf=5.0, rnt=0.5, r=20.0, e=0.25)
-        assert evaluate_criterion(get_criterion("value_added"), rec) == 5.0
+        assert get_criterion("value_added").score(10.0, 15.0, 2.0) == 5.0
 
     def test_default_efficiency(self):
-        rec = OperationRecord(1, 1.0, 2.0, 0, 0, 0, 0, re=10.0, pe=15.0,
-                              prf=5.0, rnt=0.5, r=20.0, e=0.25)
-        assert evaluate_criterion(get_criterion("efficiency"), rec) == 0.25
+        assert get_criterion("efficiency").score(10.0, 15.0, 2.0) == 0.25
 
     def test_neg_cost_flips_sign(self):
-        rec = OperationRecord(1, 1.0, 2.0, 0, 0, 0, 0, re=4.139, pe=5.0,
-                              prf=0.861, rnt=0.208, r=8.278, e=0.104)
-        assert evaluate_criterion(get_criterion("neg_cost"), rec) == -4.139
+        assert get_criterion("neg_cost").score(4.139, 5.0, 2.0) == -4.139
 
     def test_unknown_criterion(self):
         with pytest.raises(UnknownCriterion):

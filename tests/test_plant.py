@@ -59,11 +59,20 @@ def fine_step_heating_time(cfg, k, dt=1e-3):
 
 
 def run_one_operation(cfg, k, dt=0.1):
-    """Drive a bare plant through one full operation; returns the pulse
-    tick times and the graph."""
+    """Drive a plant through one full operation with its flow volumes
+    metered by integrators (rtv, rpv, ptv, and rwv fed by the wear-rate
+    generator), all reset by RTB; returns the pulse tick times and the
+    graph."""
     plant = BatchHeaterPlant("plant", cfg)
-    graph = build_graph([Constant("control", k), plant],
-                        [("control.OUT", "plant.CL")])
+    blocks = [Constant("control", k), plant,
+              WearRateGenerator("wear", cfg.heater_nominal_power,
+                                cfg.wear_t_nominal, cfg.wear_alpha)]
+    wires = [("control.OUT", "plant.CL"), ("plant.RP", "wear.IN")]
+    for name, source in (("rtv", "plant.RT"), ("rpv", "plant.RP"),
+                         ("ptv", "plant.PT"), ("rwv", "wear.OUT")):
+        blocks.append(ResettableIntegrator(name))
+        wires += [(source, f"{name}.IN"), ("plant.RTB", f"{name}.RES")]
+    graph = build_graph(blocks, wires)
     clock = SimClock(dt=dt)
     pulses = {}
 
@@ -85,8 +94,7 @@ class TestHeatingPhysics:
         pulses, graph = run_one_operation(cfg, 1.0)
         heat_time = (pulses["RED"][0] - pulses["RTF"][0]) * 0.1
         assert heat_time == pytest.approx(1046.5, rel=0.005)
-        plant = graph.block("plant")
-        assert plant.state.rpv == pytest.approx(2.093e6, rel=0.005)
+        assert graph.value("rpv.OUT") == pytest.approx(2.093e6, rel=0.005)
 
     def test_lossy_heating_matches_analytic_and_fine_step(self):
         cfg = make_plant(loss_coeff=19.0, eta=0.95)
@@ -137,7 +145,7 @@ class TestHeatingPhysics:
         volumes = []
         for k in (0.5, 1.0, 2.0, 3.0):
             _, graph = run_one_operation(cfg, k)
-            volumes.append(graph.block("plant").state.rpv)
+            volumes.append(graph.value("rpv.OUT"))
         expected = 41860.0 * 50.0
         for v in volumes:
             assert v == pytest.approx(expected, rel=0.005)
@@ -165,19 +173,10 @@ class TestOperationProtocol:
     def test_mass_conservation_through_integrators(self):
         cfg = make_plant(loss_coeff=19.0, eta=0.95, fill_rate=0.7,
                          release=1.3)
-        plant = BatchHeaterPlant("plant", cfg)
-        blocks = [Constant("control", 1.0), plant,
-                  ResettableIntegrator("rtv"), ResettableIntegrator("ptv")]
-        wires = [("control.OUT", "plant.CL"),
-                 ("plant.RT", "rtv.IN"), ("plant.RTB", "rtv.RES"),
-                 ("plant.PT", "ptv.IN"), ("plant.RTB", "ptv.RES")]
-        graph = build_graph(blocks, wires)
-        clock = SimClock(dt=0.1)
-        run_until(graph, clock, lambda g, c: g.value("plant.PTF") > 0.5,
-                  tick_budget=2_000_000)
+        _, graph = run_one_operation(cfg, 1.0)
         assert graph.value("rtv.OUT") == pytest.approx(10.0, rel=1e-12)
         assert graph.value("ptv.OUT") == pytest.approx(10.0, rel=1e-12)
-        assert plant.state.mass_in_vessel == 0.0
+        assert graph.block("plant").state.mass_in_vessel == 0.0
 
     def test_operation_time_includes_fill_and_release(self):
         cfg = make_plant(loss_coeff=0.0, eta=1.0, fill_rate=2.0, release=0.5)
@@ -192,8 +191,7 @@ class TestOperationProtocol:
         cfg = make_plant(loss_coeff=0.0, eta=1.0, fill_rate=500.0)
         pulses, graph = run_one_operation(cfg, 1.0)
         assert pulses["RTF"][0] == pulses["RTB"][0] + 1
-        assert graph.block("plant").state.rtv == pytest.approx(10.0,
-                                                               rel=1e-12)
+        assert graph.value("rtv.OUT") == pytest.approx(10.0, rel=1e-12)
 
     def test_back_to_back_operations_reset_state(self):
         cfg = make_plant(loss_coeff=19.0, eta=0.95)
@@ -251,7 +249,7 @@ class TestWearLaw:
         volumes = []
         for k in (0.5, 1.0, 1.5, 2.0, 3.0):
             pulses, graph = run_one_operation(cfg, k)
-            volumes.append(graph.block("plant").state.rwv)
+            volumes.append(graph.value("rwv.OUT"))
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
 
 

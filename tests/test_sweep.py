@@ -1,5 +1,5 @@
-"""Sweep orchestration: record protocol, extremum location, oracles and
-mode equivalence."""
+"""Sweep orchestration: record protocol, extremum location, oracles,
+sweep/single-run equivalence and entry checks."""
 
 from __future__ import annotations
 
@@ -10,10 +10,13 @@ import pytest
 
 from batchsim import (Criterion, InfeasibleRange, NoValidRecords,
                       OperationRecord, SweepConfig, TickBudgetExceeded,
-                      find_extremum, get_criterion, oracle_heating_time,
-                      oracle_operation, run_single, run_sweep)
+                      ValidationError, find_extremum, get_criterion,
+                      oracle_heating_time, oracle_operation, run_single,
+                      run_sweep)
 
-from conftest import make_reference_plant
+from conftest import make_reference_plant, operation_pulses
+
+BAD_DTS = [math.nan, math.inf, 0.0, -1.0]
 
 
 def _record(num, k, score_stand_in):
@@ -122,18 +125,12 @@ class TestRunSweep:
             coarse_report.extremum.control_k, abs=1e-9)
 
     def test_pulse_protocol_per_operation(self, coarse_report):
-        assert len(coarse_report.pulse_times) == 13
-        for pulses in coarse_report.pulse_times:
+        ops = operation_pulses(coarse_report)
+        assert len(ops) == 13
+        for pulses in ops:
             assert set(pulses) == {"rtb", "rtf", "red", "ptf"}
             assert (pulses["rtb"] < pulses["rtf"]
                     < pulses["red"] < pulses["ptf"])
-
-    def test_series_columns_align_with_records(self, coarse_report):
-        series = coarse_report.series
-        assert series["control_k"] == [r.control_k
-                                       for r in coarse_report.records]
-        assert series["re"] == [r.re for r in coarse_report.records]
-        assert len(series["e"]) == 13
 
     def test_infeasible_range_rejected(self, reference_plant):
         sweep = SweepConfig(k_min=0.1, k_max=0.4, k_step=0.1)
@@ -154,18 +151,26 @@ class TestRunSweep:
         assert [r.control_k for r in report.records] == \
             [r.control_k for r in coarse_report.records]
 
-    def test_parallel_mode_identical_records(self, reference_plant,
-                                             reference_sweep, coarse_report):
-        parallel = run_sweep(reference_plant, reference_sweep, parallel=True)
-        assert parallel.records == coarse_report.records
-        assert parallel.extremum == coarse_report.extremum
-        assert parallel.series == coarse_report.series
+    def test_single_run_matches_sweep_record(self, reference_plant,
+                                             coarse_report):
+        # A per-point graph and the scanner graph meter each operation
+        # identically.
+        for rec in coarse_report.records:
+            single = run_single(reference_plant, rec.control_k).records[0]
+            assert replace(single, num=rec.num) == rec
+
+    @pytest.mark.parametrize("dt", BAD_DTS)
+    def test_bad_dt_rejected_at_entry(self, reference_plant, reference_sweep,
+                                      dt):
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(reference_plant, reference_sweep, dt=dt)
+        assert excinfo.value.field == "dt"
 
     def test_repeat_run_bit_identical(self, reference_plant, reference_sweep,
                                       coarse_report):
         again = run_sweep(reference_plant, reference_sweep)
         assert again.records == coarse_report.records
-        assert again.pulse_times == coarse_report.pulse_times
+        assert again.pulse_events == coarse_report.pulse_events
 
 
 class TestRunSingle:
@@ -181,6 +186,12 @@ class TestRunSingle:
     def test_single_below_floor_rejected(self, reference_plant):
         with pytest.raises(InfeasibleRange):
             run_single(reference_plant, 0.3)
+
+    @pytest.mark.parametrize("dt", BAD_DTS)
+    def test_bad_dt_rejected_at_entry(self, reference_plant, dt):
+        with pytest.raises(ValidationError) as excinfo:
+            run_single(reference_plant, 1.0, dt=dt)
+        assert excinfo.value.field == "dt"
 
     def test_custom_criterion_threading(self, reference_plant):
         report = run_single(reference_plant, 1.0, criterion="value_added")
