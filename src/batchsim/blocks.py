@@ -83,7 +83,6 @@ class PulseTrain(Block):
     """
 
     output_ports = ("OUT",)
-    pulse_ports = frozenset({"OUT"})
 
     def __init__(self, name: str, start: int = 0, period: int | None = None):
         super().__init__(name)
@@ -102,23 +101,21 @@ class PulseTrain(Block):
 
 
 class SequenceSource(Block):
-    """Level source replaying a precomputed list of values, one per tick."""
+    """Level source replaying a precomputed list of values, one per tick,
+    then holding the last one."""
 
     output_ports = ("OUT",)
 
-    def __init__(self, name: str, values: list[float], hold_last: bool = True):
+    def __init__(self, name: str, values: list[float]):
         super().__init__(name)
         self.values = list(values)
-        self.hold_last = hold_last
 
     def evaluate(self, clock: SimClock) -> None:
         k = clock.tick_index
         if k < len(self.values):
             self.out["OUT"] = self.values[k]
-        elif self.hold_last and self.values:
+        elif self.values:
             self.out["OUT"] = self.values[-1]
-        else:
-            self.out["OUT"] = 0.0
 
 
 class UnitDelay(Block):
@@ -132,10 +129,9 @@ class UnitDelay(Block):
     output_ports = ("OUT",)
     breaks_cycle = True
 
-    def __init__(self, name: str, initial: float = 0.0):
+    def __init__(self, name: str):
         super().__init__(name)
-        self._state = float(initial)
-        self.out["OUT"] = self._state
+        self._state = 0.0
 
     def evaluate(self, clock: SimClock) -> None:
         self.out["OUT"] = self._state
@@ -180,10 +176,9 @@ class ResettableIntegrator(Block):
     input_ports = ("IN", "RES")
     output_ports = ("OUT",)
 
-    def __init__(self, name: str, initial: float = 0.0):
+    def __init__(self, name: str):
         super().__init__(name)
-        self._acc = float(initial)
-        self.out["OUT"] = self._acc
+        self._acc = 0.0
 
     def evaluate(self, clock: SimClock) -> None:
         if self.read("RES") > 0.5:

@@ -114,9 +114,11 @@ _SCHEMA: dict[str, dict[str, object]] = {
 _SWEEP_OPTIONAL = {"direction", "criterion", "stop_on_boundary", "tick_budget"}
 
 
+# Each check states the valid range, so NaN (which fails every
+# comparison) and infinities are rejected along with out-of-range values.
 def _require_positive(field: str, value: float) -> None:
-    if value <= 0.0:
-        raise ValidationError(field, f"must be > 0, got {value:g}")
+    if not 0.0 < value < math.inf:
+        raise ValidationError(field, f"must be finite and > 0, got {value:g}")
 
 
 def validate_plant_config(cfg: PlantConfig) -> None:
@@ -126,17 +128,19 @@ def validate_plant_config(cfg: PlantConfig) -> None:
     _require_positive("release_intensity", cfg.release_intensity)
     _require_positive("heat_capacity", cfg.heat_capacity)
     _require_positive("heater_nominal_power", cfg.heater_nominal_power)
-    if cfg.loss_coeff < 0.0:
-        raise ValidationError("loss_coeff", "must be >= 0")
+    if not 0.0 <= cfg.loss_coeff < math.inf:
+        raise ValidationError("loss_coeff", "must be finite and >= 0")
     if not 0.0 < cfg.heater_efficiency <= 1.0:
         raise ValidationError("heater_efficiency", "must be in (0, 1]")
-    if cfg.setpoint <= cfg.ambient_temp:
+    if not math.isfinite(cfg.ambient_temp):
+        raise ValidationError("ambient_temp", "must be finite")
+    if not cfg.ambient_temp < cfg.setpoint < math.inf:
         raise ValidationError(
-            "setpoint", f"must exceed ambient_temp ({cfg.ambient_temp:g}), "
-            f"got {cfg.setpoint:g}")
+            "setpoint", f"must be finite and exceed ambient_temp "
+            f"({cfg.ambient_temp:g}), got {cfg.setpoint:g}")
     _require_positive("t_nominal", cfg.wear_t_nominal)
-    if cfg.wear_alpha < 0.0:
-        raise ValidationError("alpha", "must be >= 0")
+    if not 0.0 <= cfg.wear_alpha < math.inf:
+        raise ValidationError("alpha", "must be finite and >= 0")
     _require_positive("raw", cfg.unit_costs.raw)
     _require_positive("energy", cfg.unit_costs.energy)
     _require_positive("wear", cfg.unit_costs.wear)
@@ -146,8 +150,9 @@ def validate_plant_config(cfg: PlantConfig) -> None:
 def validate_sweep_config(sweep: SweepConfig) -> None:
     """Check sweep invariants, naming the offending field."""
     _require_positive("k_min", sweep.k_min)
+    _require_positive("k_max", sweep.k_max)
     _require_positive("k_step", sweep.k_step)
-    if sweep.k_min >= sweep.k_max:
+    if not sweep.k_min < sweep.k_max:
         raise ValidationError(
             "k_min", f"must be below k_max ({sweep.k_max:g}), "
             f"got {sweep.k_min:g}")
@@ -159,7 +164,7 @@ def validate_sweep_config(sweep: SweepConfig) -> None:
         raise ValidationError(
             "criterion", f"unknown name {sweep.criterion!r}; available: "
             + ", ".join(sorted(BUILTIN_CRITERIA)))
-    if sweep.tick_budget <= 0:
+    if not sweep.tick_budget > 0:
         raise ValidationError("tick_budget", "must be a positive tick count")
 
 

@@ -7,12 +7,12 @@ inputs (re), the cost estimate of its output (pe) and its duration
 
 * value added   prf = pe - re
 * profitability rnt = prf / re
-* resource intensity, default r = re * t_op
-* efficiency, default e = prf / (re * t_op)
+* resource intensity r = re * t_op
+* efficiency        e = prf / (re * t_op)
 
-Resource intensity and efficiency have no single canonical formula, so
-both are injectable; the defaults above are dimensionally coherent and
-reward value added per unit of committed cost-time.
+Resource intensity and efficiency have no single canonical formula; the
+ones above are dimensionally coherent and reward value added per unit of
+committed cost-time.
 """
 
 from __future__ import annotations
@@ -70,19 +70,11 @@ class Criterion:
     score: IndicatorFn
 
 
-def default_resource_intensity(re: float, pe: float, t_op: float) -> float:
-    return re * t_op
-
-
-def default_efficiency(re: float, pe: float, t_op: float) -> float:
-    return (pe - re) / (re * t_op)
-
-
 BUILTIN_CRITERIA: dict[str, Criterion] = {
     c.name: c for c in (
         Criterion("value_added", lambda re, pe, t_op: pe - re),
         Criterion("profitability", lambda re, pe, t_op: (pe - re) / re),
-        Criterion("efficiency", default_efficiency),
+        Criterion("efficiency", lambda re, pe, t_op: (pe - re) / (re * t_op)),
         Criterion("neg_cost", lambda re, pe, t_op: -re),
         Criterion("neg_resource_intensity",
                   lambda re, pe, t_op: -(re * t_op)),
@@ -118,9 +110,7 @@ def aggregate_costs(volumes: FlowVolumes,
     return re, pe
 
 
-def compute_indicators(re: float, pe: float, t_op: float,
-                       resource_intensity: IndicatorFn = default_resource_intensity,
-                       efficiency: IndicatorFn = default_efficiency,
+def compute_indicators(re: float, pe: float, t_op: float
                        ) -> tuple[float, float, float, float, bool]:
     """(prf, rnt, r, e, valid) for one operation.
 
@@ -130,11 +120,8 @@ def compute_indicators(re: float, pe: float, t_op: float,
     if re <= 0.0 or t_op <= 0.0:
         return NAN, NAN, NAN, NAN, False
     prf = pe - re
-    rnt = prf / re
-    return (prf, rnt,
-            resource_intensity(re, pe, t_op),
-            efficiency(re, pe, t_op),
-            True)
+    r = re * t_op
+    return prf, prf / re, r, prf / r, True
 
 
 class OperationEvaluator(Block):
@@ -150,21 +137,13 @@ class OperationEvaluator(Block):
     input_ports = ("RE", "PE", "TO", "FIN")
     output_ports = ("PRF", "RNT", "R", "E")
 
-    def __init__(self, name: str,
-                 resource_intensity: IndicatorFn = default_resource_intensity,
-                 efficiency: IndicatorFn = default_efficiency):
-        super().__init__(name)
-        self._r_fn = resource_intensity
-        self._e_fn = efficiency
-
     def evaluate(self, clock: SimClock) -> None:
         if self.read("FIN") <= 0.5:
             return
         re = self.read("RE")
         pe = self.read("PE")
         t_op = self.read("TO")
-        prf, rnt, r, e, valid = compute_indicators(
-            re, pe, t_op, self._r_fn, self._e_fn)
+        prf, rnt, r, e, valid = compute_indicators(re, pe, t_op)
         if valid:
             out = self.out
             out["PRF"] = prf

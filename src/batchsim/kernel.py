@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 class SimulationError(Exception):
@@ -80,15 +80,14 @@ class Block:
     """Base class for dataflow blocks.
 
     Subclasses declare ``input_ports`` and ``output_ports`` (tuples of
-    names) plus the subset ``pulse_ports`` of outputs that carry one-tick
-    pulses.  ``breaks_cycle`` marks delay-style blocks whose output does
+    names); an output becomes a one-tick pulse through :meth:`pulse`.
+    ``breaks_cycle`` marks delay-style blocks whose output does
     not depend on the current tick's inputs; only such blocks may close
     feedback loops.  Port values live in the plain dict ``out``.
     """
 
     input_ports: tuple[str, ...] = ()
     output_ports: tuple[str, ...] = ()
-    pulse_ports: frozenset[str] = frozenset()
     breaks_cycle: bool = False
 
     def __init__(self, name: str):
@@ -111,7 +110,7 @@ class Block:
 
     def request_halt(self) -> None:
         """Ask the engine to stop the run after the current tick."""
-        self._graph._halt_requested = True
+        self._graph.halt_flag = True
 
     def evaluate(self, clock: SimClock) -> None:
         """Compute this tick's outputs from current inputs and state."""
@@ -136,7 +135,6 @@ class BlockGraph:
         self._plan = plan
         self._latch_plan = latch_plan
         self._fired: list[tuple[dict[str, float], str]] = []
-        self._halt_requested = False
         self.halt_flag = False
 
     def block(self, name: str) -> Block:
@@ -149,9 +147,6 @@ class BlockGraph:
 
     def evaluation_order(self) -> list[str]:
         return [b.name for b in self._plan]
-
-    def blocks(self) -> Iterable[Block]:
-        return self._blocks.values()
 
 
 def _parse_endpoint(ref: str) -> tuple[str, str]:
@@ -248,8 +243,6 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
                 _raise_numeric_fault(graph, clock)
 
     clock.advance()
-    if graph._halt_requested:
-        graph.halt_flag = True
     return clock
 
 

@@ -125,7 +125,6 @@ class BatchHeaterPlant(Block):
 
     input_ports = ("CL",)
     output_ports = ("RTB", "RTF", "RED", "PTF", "RT", "RP", "PT", "TMP", "RWM")
-    pulse_ports = frozenset({"RTB", "RTF", "RED", "PTF"})
 
     def __init__(self, name: str, config: PlantConfig):
         super().__init__(name)

@@ -20,9 +20,10 @@ from . import econ
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
                      RangeScanner, ReportGenerator, ResettableIntegrator,
                      Summator, UnitDelay, enumerate_scan_values)
-from .config import SweepConfig, ValidationError
-from .econ import (Criterion, OperationRecord, OperationEvaluator,
-                   compute_indicators, get_criterion)
+from .config import (SweepConfig, ValidationError, validate_plant_config,
+                     validate_sweep_config)
+from .econ import (Criterion, OperationRecord, compute_indicators,
+                   get_criterion)
 from .kernel import (BlockGraph, SimClock, SimulationError,
                      TickBudgetExceeded, build_graph, run_until)
 from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
@@ -140,9 +141,11 @@ def find_extremum(records: list[OperationRecord],
 def _instrument_wiring(plant_cfg: PlantConfig,
                        control_out: str) -> tuple[list, list]:
     """Blocks and wires shared by the sweep and single-operation graphs:
-    plant, wear generator, four reset integrators, cost network, timer,
-    evaluator and report latch.  ``control_out`` names the port driving
-    the plant load level (and report channel 1)."""
+    plant, wear generator, four reset integrators, cost network, timer
+    and report latch.  ``control_out`` names the port driving the plant
+    load level (and report channel 1).  Report channels 1-8 latch the
+    control, duration, flow volumes and costs on the PTF tick; channels 9
+    and 10 are left unwired and read 0."""
     uc = plant_cfg.unit_costs
     blocks = [
         BatchHeaterPlant("plant", plant_cfg),
@@ -162,7 +165,6 @@ def _instrument_wiring(plant_cfg: PlantConfig,
         Multiplier("output_value"),
         Summator("re_sum", n_inputs=3),
         IntervalTimer("op_timer"),
-        OperationEvaluator("evaluator"),
         ReportGenerator("report"),
     ]
     wires = [
@@ -180,10 +182,6 @@ def _instrument_wiring(plant_cfg: PlantConfig,
         ("energy_cost.OUT", "re_sum.IN2"),
         ("wear_cost.OUT", "re_sum.IN3"),
         ("plant.RTB", "op_timer.STR"), ("plant.PTF", "op_timer.FIN"),
-        ("re_sum.OUT", "evaluator.RE"),
-        ("output_value.OUT", "evaluator.PE"),
-        ("op_timer.TIM", "evaluator.TO"),
-        ("plant.PTF", "evaluator.FIN"),
         ("plant.PTF", "report.STR"),
         (control_out, "report.IN1"),
         ("op_timer.TIM", "report.IN2"),
@@ -193,8 +191,6 @@ def _instrument_wiring(plant_cfg: PlantConfig,
         ("rwv_int.OUT", "report.IN6"),
         ("re_sum.OUT", "report.IN7"),
         ("output_value.OUT", "report.IN8"),
-        ("evaluator.PRF", "report.IN9"),
-        ("evaluator.RNT", "report.IN10"),
     ]
     return blocks, wires
 
@@ -233,8 +229,51 @@ def build_single_graph(plant_cfg: PlantConfig, control_k: float) -> BlockGraph:
     return build_graph(blocks, wires)
 
 
-def _make_pulse_observer(graph: BlockGraph):
-    """Observer collecting (channel, tick) phase-pulse events."""
+def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
+    """Records from the latched rows; the derived indicators are computed
+    from the latched PTF-tick costs and duration."""
+    records = []
+    for row in report.rows:
+        k, t_op, rtv, rpv, ptv, rwv, re, pe = row.values[:8]
+        records.append(OperationRecord(
+            row.num, k, t_op, rtv, rpv, ptv, rwv, re, pe,
+            *compute_indicators(re, pe, t_op)))
+    return records
+
+
+def _check_entry(plant_cfg: PlantConfig, dt: float, k_low: float,
+                 k_high: float) -> None:
+    """Entry checks of both runs: a valid plant, controls ``k_low`` to
+    ``k_high`` above the feasible floor, and a finite dt no coarser than
+    a tenth of the shortest phase.
+
+    Heating is shortest at ``k_high``.  The feasibility margin caps
+    heating at about 3.04*C/h, so the dt limit also keeps dt below the
+    explicit-Euler stability bound 2*C/h.
+    """
+    if not 0.0 < dt < inf:  # also false for NaN
+        raise ValidationError("dt", f"must be finite and > 0, got {dt!r}")
+    validate_plant_config(plant_cfg)
+    k_floor = feasible_control_range(plant_cfg)
+    if k_low < k_floor:
+        raise InfeasibleRange(
+            f"control {k_low:g} is below the feasible control floor "
+            f"{k_floor:g}")
+    limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
+                plant_cfg.batch_volume / plant_cfg.release_intensity,
+                oracle_heating_time(plant_cfg, k_high)) / 10.0
+    if dt > limit:
+        raise ValidationError(
+            "dt", f"must be at most {limit:g} s, a tenth of the shortest "
+            f"phase, got {dt:g}")
+
+
+def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
+         criterion: Criterion, until_halt: bool) -> SweepReport:
+    """Run one operation per control in ``ks``, each within
+    ``tick_budget`` ticks; with ``until_halt``, step on until a block
+    halts the graph.  Records come from the report latch."""
+    report: ReportGenerator = graph.block("report")
     plant_out = graph.block("plant").out
     events: list[tuple[str, int]] = []
 
@@ -249,77 +288,39 @@ def _make_pulse_observer(graph: BlockGraph):
         if plant_out["PTF"] > 0.5:
             events.append(("ptf", tick))
 
-    return events, observer
-
-
-def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
-    """Records from the latched rows; the derived indicators come from the
-    same PTF-tick costs and duration the evaluator reads."""
-    records = []
-    for row in report.rows:
-        k, t_op, rtv, rpv, ptv, rwv, re, pe = row.values[:8]
-        records.append(OperationRecord(
-            row.num, k, t_op, rtv, rpv, ptv, rwv, re, pe,
-            *compute_indicators(re, pe, t_op)))
-    return records
-
-
-def _finalize(records: list[OperationRecord], criterion: Criterion,
-              events: list[tuple[str, int]], dt: float) -> SweepReport:
+    clock = SimClock(dt)
+    try:
+        for n, k in enumerate(ks, start=1):
+            run_until(graph, clock, lambda g, c, n=n: len(report.rows) >= n,
+                      tick_budget=tick_budget, observer=observer)
+        if until_halt:
+            run_until(graph, clock, lambda g, c: False,
+                      tick_budget=tick_budget, observer=observer)
+    except TickBudgetExceeded as exc:
+        err = TickBudgetExceeded(
+            exc.tick, detail=f"operation at control {k:g} unfinished")
+        err.control_k = k
+        raise err from None
+    if len(report.rows) != len(ks):
+        raise SimulationError(
+            f"run stopped with {len(report.rows)} of {len(ks)} operations")
+    records = _assemble_records(report)
     pulse_events = [(channel, tick * dt) for channel, tick in events]
     return SweepReport(records, criterion.name,
                        find_extremum(records, criterion), pulse_events, dt)
-
-
-def _check_dt(dt: float) -> None:
-    if not 0.0 < dt < inf:  # also false for NaN
-        raise ValidationError("dt", f"must be finite and > 0, got {dt!r}")
-
-
-def _check_feasible(plant_cfg: PlantConfig, control_k: float) -> None:
-    k_floor = feasible_control_range(plant_cfg)
-    if control_k < k_floor:
-        raise InfeasibleRange(
-            f"control {control_k:g} is below the feasible control floor "
-            f"{k_floor:g}")
-
-
-def _unfinished(exc: TickBudgetExceeded,
-                control_k: float) -> TickBudgetExceeded:
-    err = TickBudgetExceeded(
-        exc.tick, detail=f"operation at control {control_k:g} unfinished")
-    err.control_k = control_k
-    return err
 
 
 def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
               dt: float = DEFAULT_DT) -> SweepReport:
     """Run one complete operation per scan point through the scanner's
     strobe protocol and rank the records."""
-    _check_dt(dt)
-    _check_feasible(plant_cfg, sweep.k_min)
+    validate_sweep_config(sweep)
+    _check_entry(plant_cfg, dt, sweep.k_min, sweep.k_max)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
-    criterion = get_criterion(sweep.criterion)
-    graph = build_sweep_graph(plant_cfg, sweep)
-    report: ReportGenerator = graph.block("report")
-    events, observer = _make_pulse_observer(graph)
-    n_ops = len(ks)
-    if sweep.stop_on_boundary:
-        def predicate(g, c):
-            return False
-    else:
-        def predicate(g, c):
-            return len(report.rows) >= n_ops
-    try:
-        run_until(graph, SimClock(dt), predicate,
-                  tick_budget=sweep.tick_budget, observer=observer)
-    except TickBudgetExceeded as exc:
-        raise _unfinished(exc, ks[min(len(report.rows), n_ops - 1)]) from None
-    if len(report.rows) != n_ops:
-        raise SimulationError(
-            f"sweep stopped with {len(report.rows)} of {n_ops} operations")
-    return _finalize(_assemble_records(report), criterion, events, dt)
+    return _run(build_sweep_graph(plant_cfg, sweep), ks, dt,
+                sweep.tick_budget, get_criterion(sweep.criterion),
+                sweep.stop_on_boundary)
 
 
 def run_single(plant_cfg: PlantConfig, control_k: float,
@@ -327,15 +328,6 @@ def run_single(plant_cfg: PlantConfig, control_k: float,
                criterion: str = "efficiency") -> SweepReport:
     """One complete operation at a fixed control in a fresh graph,
     packaged as a one-record report."""
-    _check_dt(dt)
-    _check_feasible(plant_cfg, control_k)
-    graph = build_single_graph(plant_cfg, control_k)
-    report: ReportGenerator = graph.block("report")
-    events, observer = _make_pulse_observer(graph)
-    try:
-        run_until(graph, SimClock(dt), lambda g, c: len(report.rows) >= 1,
-                  tick_budget=tick_budget, observer=observer)
-    except TickBudgetExceeded as exc:
-        raise _unfinished(exc, control_k) from None
-    return _finalize(_assemble_records(report), get_criterion(criterion),
-                     events, dt)
+    _check_entry(plant_cfg, dt, control_k, control_k)
+    return _run(build_single_graph(plant_cfg, control_k), [control_k], dt,
+                tick_budget, get_criterion(criterion), False)

@@ -205,7 +205,7 @@ class TestCli:
         assert records[0].control_k == 1.5
 
     @pytest.mark.parametrize("command", ["sweep", "run-once"])
-    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1", "500"])
     def test_bad_dt_names_field(self, tmp_path, capsys, command, dt):
         rc = main([command, "--config", str(REFERENCE_INI),
                    "--out", str(tmp_path / "results"), "--dt", dt])

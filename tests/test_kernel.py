@@ -20,7 +20,6 @@ class PulseAt(Block):
     """Test helper: emits a single pulse at a chosen tick."""
 
     output_ports = ("OUT",)
-    pulse_ports = frozenset({"OUT"})
 
     def __init__(self, name, tick):
         super().__init__(name)

@@ -16,7 +16,15 @@ from batchsim import (Criterion, InfeasibleRange, NoValidRecords,
 
 from conftest import make_reference_plant, operation_pulses
 
-BAD_DTS = [math.nan, math.inf, 0.0, -1.0]
+# 1.01 s is just above the reference limit: a tenth of the 10 s fill.
+BAD_DTS = [math.nan, math.inf, 0.0, -1.0, 1.01]
+
+# PlantConfig attribute -> the field name a ValidationError carries.
+PLANT_FIELDS = [("heat_capacity", "heat_capacity"),
+                ("loss_coeff", "loss_coeff"), ("setpoint", "setpoint"),
+                ("ambient_temp", "ambient_temp"), ("fill_rate", "fill_rate"),
+                ("heater_nominal_power", "heater_nominal_power"),
+                ("wear_alpha", "alpha")]
 
 
 def _record(num, k, score_stand_in):
@@ -166,6 +174,43 @@ class TestRunSweep:
             run_sweep(reference_plant, reference_sweep, dt=dt)
         assert excinfo.value.field == "dt"
 
+    def test_dt_at_resolution_limit_accepted(self, reference_plant,
+                                             reference_sweep):
+        report = run_sweep(reference_plant, reference_sweep, dt=1.0)
+        assert len(report.records) == 13
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("attr, field", PLANT_FIELDS)
+    def test_bad_plant_field_rejected_at_entry(self, reference_plant,
+                                               reference_sweep, attr, field,
+                                               value):
+        plant = replace(reference_plant, **{attr: value})
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(plant, reference_sweep)
+        assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("field", ["k_min", "k_max", "k_step"])
+    def test_nan_sweep_field_rejected_at_entry(self, reference_plant,
+                                               reference_sweep, field):
+        sweep = replace(reference_sweep, **{field: math.nan})
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(reference_plant, sweep)
+        assert excinfo.value.field == field
+
+    def test_tick_budget_caps_each_operation(self, reference_plant,
+                                             reference_sweep, coarse_report):
+        # The longest operation (control 0.6) takes 39,675 ticks, the
+        # whole sweep about 146k: a 40,000 budget completes every
+        # operation on both paths, and 39,000 stops at the first.
+        sweep = replace(reference_sweep, tick_budget=40_000)
+        assert run_sweep(reference_plant, sweep).records == \
+            coarse_report.records
+        single = run_single(reference_plant, 0.8, tick_budget=40_000)
+        assert len(single.records) == 1
+        with pytest.raises(TickBudgetExceeded) as excinfo:
+            run_sweep(reference_plant, replace(sweep, tick_budget=39_000))
+        assert excinfo.value.control_k == pytest.approx(0.6)
+
     def test_repeat_run_bit_identical(self, reference_plant, reference_sweep,
                                       coarse_report):
         again = run_sweep(reference_plant, reference_sweep)
@@ -192,6 +237,19 @@ class TestRunSingle:
         with pytest.raises(ValidationError) as excinfo:
             run_single(reference_plant, 1.0, dt=dt)
         assert excinfo.value.field == "dt"
+
+    def test_dt_at_resolution_limit_accepted(self, reference_plant):
+        report = run_single(reference_plant, 1.0, dt=1.0)
+        assert report.records[0].valid
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("attr, field", PLANT_FIELDS)
+    def test_bad_plant_field_rejected_at_entry(self, reference_plant, attr,
+                                               field, value):
+        plant = replace(reference_plant, **{attr: value})
+        with pytest.raises(ValidationError) as excinfo:
+            run_single(plant, 1.0)
+        assert excinfo.value.field == field
 
     def test_custom_criterion_threading(self, reference_plant):
         report = run_single(reference_plant, 1.0, criterion="value_added")
