@@ -10,12 +10,13 @@ for reset, TIM for measured time, and so on).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .kernel import Block, SimClock, SimulationError
 
 
 class InvalidRange(SimulationError):
-    """Scanner configured with an empty range or non-positive step."""
+    """Scan range empty or not finite, or step not finite and positive."""
 
 
 # Relative slack used when deciding that a scan value has reached the far
@@ -24,6 +25,15 @@ _BOUNDARY_TOL = 1e-9
 
 # Guard for callers that enumerate a whole scan up front.
 _MAX_SCAN_POINTS = 1_000_000
+
+
+def _check_range(what: str, minimum: float, maximum: float,
+                 step: float) -> None:
+    """Refuse all but finite minimum < maximum and 0 < step < inf (so NaN)."""
+    if not (-inf < minimum < maximum < inf and 0.0 < step < inf):
+        raise InvalidRange(
+            f"{what} requires finite minimum < maximum and finite step > 0, "
+            f"got [{minimum}, {maximum}] step {step}")
 
 
 def scan_value(minimum: float, maximum: float, step: float,
@@ -50,10 +60,7 @@ def scan_value(minimum: float, maximum: float, step: float,
 def enumerate_scan_values(minimum: float, maximum: float, step: float,
                           direction: int = 0) -> list[float]:
     """Full ordered scan sequence, boundary point included."""
-    if minimum >= maximum or step <= 0.0:
-        raise InvalidRange(
-            f"scan range requires minimum < maximum and step > 0, "
-            f"got [{minimum}, {maximum}] step {step}")
+    _check_range("scan range", minimum, maximum, step)
     if (maximum - minimum) / step > _MAX_SCAN_POINTS:
         raise InvalidRange("scan step is too small for the range")
     values = []
@@ -243,11 +250,8 @@ class RangeScanner(Block):
         if self.read("STR") <= 0.5:
             return
         if self._emitted == 0 and not self._boundary:
-            if self.minimum >= self.maximum or self.step <= 0.0:
-                raise InvalidRange(
-                    f"scanner {self.name!r}: need minimum < maximum and "
-                    f"step > 0, got [{self.minimum}, {self.maximum}] "
-                    f"step {self.step}")
+            _check_range(f"scanner {self.name!r}", self.minimum,
+                         self.maximum, self.step)
         if self._boundary:
             if self.stop_on_boundary:
                 self.request_halt()

@@ -6,9 +6,10 @@
 
 ``sweep`` runs the full control-range scan and writes operations.csv plus
 summary.txt; ``run-once`` simulates a single operation at one control
-level; ``validate`` checks a config and reports the feasible control
-range, the predicted operation count and the closed-form heating times
-at the range endpoints without simulating anything.
+level; ``validate`` makes a default-dt sweep's entry checks without
+simulating, so it refuses exactly what that sweep refuses at entry, and
+reports the feasible control floor, the predicted operation count, the
+closed-form heating times at the range endpoints and the dt limit.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .blocks import InvalidRange, enumerate_scan_values
+from .blocks import enumerate_scan_values
 from .config import ParseError, ValidationError, load_config
 from .econ import BUILTIN_CRITERIA
 from .kernel import SimulationError
 from .plant import feasible_control_range
 from .reportio import write_report
-from .sweep import (DEFAULT_DT, InfeasibleRange, oracle_heating_time,
-                    run_single, run_sweep)
+from .sweep import DEFAULT_DT, check_entry, run_single, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,21 +89,21 @@ def _cmd_run_once(args) -> int:
 
 def _cmd_validate(args) -> int:
     plant_cfg, sweep_cfg = load_config(args.config)
-    k_floor = feasible_control_range(plant_cfg)
-    values = enumerate_scan_values(sweep_cfg.k_min, sweep_cfg.k_max,
-                                   sweep_cfg.k_step,
-                                   sweep_cfg.direction_code())
+    ks = enumerate_scan_values(sweep_cfg.k_min, sweep_cfg.k_max,
+                               sweep_cfg.k_step, sweep_cfg.direction_code())
     print("config: OK")
-    print(f"k_min_feasible: {k_floor:.9g}")
-    print(f"predicted_operations: {len(values)}")
-    if sweep_cfg.k_min < k_floor:
-        print(f"infeasible: k_min={sweep_cfg.k_min:.9g} is below the "
-              f"feasible control floor {k_floor:.9g}")
+    print(f"k_min_feasible: {feasible_control_range(plant_cfg):.9g}")
+    print(f"predicted_operations: {len(ks)}")
+    try:
+        ops, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
+                                    sweep_cfg.tick_budget, "k_min")
+    except (ValidationError, SimulationError) as exc:
+        print(f"infeasible: {exc}")
         return 1
-    t_lo = oracle_heating_time(plant_cfg, sweep_cfg.k_min)
-    t_hi = oracle_heating_time(plant_cfg, sweep_cfg.k_max)
-    print(f"heating_time_at_k_min: {t_lo:.9g}")
-    print(f"heating_time_at_k_max: {t_hi:.9g}")
+    heat = {k: op["heat_time"] for k, op in zip(ks, ops)}
+    print(f"heating_time_at_k_min: {heat[sweep_cfg.k_min]:.9g}")
+    print(f"heating_time_at_k_max: {heat[sweep_cfg.k_max]:.9g}")
+    print(f"dt_limit: {dt_limit:.9g}")
     return 0
 
 
@@ -118,8 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, InvalidRange, InfeasibleRange,
-            SimulationError, OSError) as exc:
+    except (ParseError, ValidationError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .econ import BUILTIN_CRITERIA
 from .plant import PlantConfig, UnitCosts
@@ -35,6 +35,10 @@ class ValidationError(Exception):
         self.field = field
 
 
+DEFAULT_CRITERION = "efficiency"
+DEFAULT_TICK_BUDGET = 2_000_000
+
+
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
     """Scan settings for the control range."""
@@ -43,9 +47,9 @@ class SweepConfig:
     k_max: float
     k_step: float
     direction: str = "ascending"
-    criterion: str = "efficiency"
+    criterion: str = DEFAULT_CRITERION
     stop_on_boundary: bool = True
-    tick_budget: int = 2_000_000
+    tick_budget: int = DEFAULT_TICK_BUDGET
 
     def direction_code(self) -> int:
         return 1 if self.direction == "descending" else 0
@@ -111,7 +115,8 @@ _SCHEMA: dict[str, dict[str, object]] = {
 }
 
 # Sweep keys that fall back to SweepConfig defaults when omitted.
-_SWEEP_OPTIONAL = {"direction", "criterion", "stop_on_boundary", "tick_budget"}
+_SWEEP_OPTIONAL = {f.name for f in fields(SweepConfig)
+                   if f.default is not MISSING}
 
 
 # Each check states the valid range, so NaN (which fails every
@@ -160,11 +165,16 @@ def validate_sweep_config(sweep: SweepConfig) -> None:
         raise ValidationError(
             "direction", f"must be 'ascending' or 'descending', "
             f"got {sweep.direction!r}")
-    if sweep.criterion not in BUILTIN_CRITERIA:
+    validate_run_settings(sweep.criterion, sweep.tick_budget)
+
+
+def validate_run_settings(criterion: str, tick_budget: int) -> None:
+    """Check the settings every run takes, naming the offending field."""
+    if criterion not in BUILTIN_CRITERIA:
         raise ValidationError(
-            "criterion", f"unknown name {sweep.criterion!r}; available: "
+            "criterion", f"unknown name {criterion!r}; available: "
             + ", ".join(sorted(BUILTIN_CRITERIA)))
-    if not sweep.tick_budget > 0:
+    if not tick_budget > 0:
         raise ValidationError("tick_budget", "must be a positive tick count")
 
 
@@ -199,32 +209,13 @@ def parse_config(text: str) -> tuple[PlantConfig, SweepConfig]:
                 continue
             raise ValidationError(f"{section}.{key}", "missing required key")
 
-    plant = values["plant"]
-    costs = values["costs"]
+    # [plant] and [costs] keys are the PlantConfig and UnitCosts fields.
     wear = values["wear"]
-    plant_cfg = PlantConfig(
-        batch_volume=plant["batch_volume"],
-        fill_rate=plant["fill_rate"],
-        release_intensity=plant["release_intensity"],
-        ambient_temp=plant["ambient_temp"],
-        setpoint=plant["setpoint"],
-        heat_capacity=plant["heat_capacity"],
-        loss_coeff=plant["loss_coeff"],
-        heater_nominal_power=plant["heater_nominal_power"],
-        heater_efficiency=plant["heater_efficiency"],
-        wear_t_nominal=wear["t_nominal"],
-        wear_alpha=wear["alpha"],
-        unit_costs=UnitCosts(raw=costs["raw"], energy=costs["energy"],
-                             wear=costs["wear"], output=costs["output"]),
-    )
-    sweep_values = values["sweep"]
-    sweep_cfg = SweepConfig(
-        k_min=sweep_values["k_min"],
-        k_max=sweep_values["k_max"],
-        k_step=sweep_values["k_step"],
-        **{key: sweep_values[key] for key in _SWEEP_OPTIONAL
-           if key in sweep_values},
-    )
+    plant_cfg = PlantConfig(**values["plant"],
+                            wear_t_nominal=wear["t_nominal"],
+                            wear_alpha=wear["alpha"],
+                            unit_costs=UnitCosts(**values["costs"]))
+    sweep_cfg = SweepConfig(**values["sweep"])
     validate_plant_config(plant_cfg)
     validate_sweep_config(sweep_cfg)
     return plant_cfg, sweep_cfg

@@ -49,14 +49,14 @@ class NumericFault(SimulationError):
 
 
 class TickBudgetExceeded(SimulationError):
-    """The run consumed its tick budget without meeting its stop condition."""
+    """The run used up its tick budget, or was refused because it would.
+    ``control_k`` names the unfinished operation's control when known."""
 
-    def __init__(self, tick: int, detail: str = ""):
-        msg = f"tick budget exhausted at tick {tick}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    def __init__(self, tick: int, message: str = "",
+                 control_k: float | None = None):
+        super().__init__(message or f"tick budget exhausted at tick {tick}")
         self.tick = tick
+        self.control_k = control_k
 
 
 @dataclass(slots=True)
@@ -259,7 +259,7 @@ Observer = Callable[[BlockGraph, SimClock], None]
 
 
 def run_until(graph: BlockGraph, clock: SimClock, predicate: StopPredicate,
-              tick_budget: int = 1_000_000,
+              tick_budget: int,
               observer: Observer | None = None) -> SimClock:
     """Step until ``predicate`` is true, a block halts the system, or the
     tick budget runs out (which raises :class:`TickBudgetExceeded`).

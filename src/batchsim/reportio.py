@@ -12,12 +12,10 @@ import csv
 import os
 import tempfile
 from pathlib import Path
+from typing import get_type_hints
 
 from .econ import OperationRecord
 from .sweep import SweepReport
-
-CSV_HEADER = ["num", "control_k", "t_op", "rtv", "rpv", "ptv", "rwv",
-              "re", "pe", "prf", "rnt", "r", "e", "valid"]
 
 OPERATIONS_FILENAME = "operations.csv"
 SUMMARY_FILENAME = "summary.txt"
@@ -25,6 +23,15 @@ SUMMARY_FILENAME = "summary.txt"
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
+
+
+# (write, read) of a column, by the type of its record field.
+_CODECS = {float: (_fmt, float), int: (str, int),
+           bool: (lambda v: "1" if v else "0", lambda s: s == "1")}
+# One column per OperationRecord field, in declaration order.
+_COLUMNS = [(name, *_CODECS[kind])
+            for name, kind in get_type_hints(OperationRecord).items()]
+CSV_HEADER = [name for name, _, _ in _COLUMNS]
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -40,11 +47,7 @@ def _atomic_write(path: Path, content: str) -> None:
 
 
 def _record_row(rec: OperationRecord) -> list[str]:
-    return [str(rec.num)] + [
-        _fmt(v) for v in (rec.control_k, rec.t_op, rec.rtv, rec.rpv,
-                          rec.ptv, rec.rwv, rec.re, rec.pe, rec.prf,
-                          rec.rnt, rec.r, rec.e)
-    ] + ["1" if rec.valid else "0"]
+    return [write(getattr(rec, name)) for name, write, _ in _COLUMNS]
 
 
 def write_report(report: SweepReport, output_dir) -> list[Path]:
@@ -82,19 +85,5 @@ def read_operations_csv(path) -> list[OperationRecord]:
                 f"unexpected CSV header {reader.fieldnames!r} in {path}")
         for row in reader:
             records.append(OperationRecord(
-                num=int(row["num"]),
-                control_k=float(row["control_k"]),
-                t_op=float(row["t_op"]),
-                rtv=float(row["rtv"]),
-                rpv=float(row["rpv"]),
-                ptv=float(row["ptv"]),
-                rwv=float(row["rwv"]),
-                re=float(row["re"]),
-                pe=float(row["pe"]),
-                prf=float(row["prf"]),
-                rnt=float(row["rnt"]),
-                r=float(row["r"]),
-                e=float(row["e"]),
-                valid=row["valid"] == "1",
-            ))
+                **{name: read(row[name]) for name, _, read in _COLUMNS}))
     return records

@@ -20,16 +20,26 @@ from . import econ
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
                      RangeScanner, ReportGenerator, ResettableIntegrator,
                      Summator, UnitDelay, enumerate_scan_values)
-from .config import (SweepConfig, ValidationError, validate_plant_config,
-                     validate_sweep_config)
+from .config import (DEFAULT_CRITERION, DEFAULT_TICK_BUDGET, SweepConfig,
+                     ValidationError, _require_positive, validate_plant_config,
+                     validate_run_settings, validate_sweep_config)
 from .econ import (Criterion, OperationRecord, compute_indicators,
                    get_criterion)
 from .kernel import (BlockGraph, SimClock, SimulationError,
                      TickBudgetExceeded, build_graph, run_until)
 from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
-                    feasible_control_range)
+                    feasible_control_range, wear_rate)
 
 DEFAULT_DT = 0.1
+
+# Operations run 0.47-1.73 ticks past t_op/dt on the reference plant (dt
+# 0.1, 0.5, 1.0): a budget this far below t_op/dt cannot finish one.
+BUDGET_SLACK_TICKS = 4
+
+# Sources of report IN1..IN8 in OperationRecord field order; IN9, IN10 read 0.
+_REPORT_SOURCES = ("control.OUT", "op_timer.TIM", "rtv_int.OUT",
+                   "rpv_int.OUT", "ptv_int.OUT", "rwv_int.OUT", "re_sum.OUT",
+                   "output_value.OUT")
 
 
 class InfeasibleRange(SimulationError):
@@ -91,7 +101,7 @@ def oracle_operation(config: PlantConfig, control_k: float) -> dict[str, float]:
     fill = config.batch_volume / config.fill_rate
     release = config.batch_volume / config.release_intensity
     rpv = control_k * config.heater_nominal_power * heat
-    rwv = (control_k ** config.wear_alpha / config.wear_t_nominal) * heat
+    rwv = wear_rate(control_k, config) * heat
     return {
         "heat_time": heat,
         "t_op": fill + heat + release,
@@ -138,14 +148,12 @@ def find_extremum(records: list[OperationRecord],
     return ExtremumResult(best_i, records[best_i].control_k, best_score)
 
 
-def _instrument_wiring(plant_cfg: PlantConfig,
-                       control_out: str) -> tuple[list, list]:
+def _instrument_wiring(plant_cfg: PlantConfig) -> tuple[list, list]:
     """Blocks and wires shared by the sweep and single-operation graphs:
     plant, wear generator, four reset integrators, cost network, timer
-    and report latch.  ``control_out`` names the port driving the plant
-    load level (and report channel 1).  Report channels 1-8 latch the
-    control, duration, flow volumes and costs on the PTF tick; channels 9
-    and 10 are left unwired and read 0."""
+    and report latch.  The caller adds the block "control" that drives
+    the plant load level.  The report latches ``_REPORT_SOURCES`` on the
+    PTF tick."""
     uc = plant_cfg.unit_costs
     blocks = [
         BatchHeaterPlant("plant", plant_cfg),
@@ -168,7 +176,7 @@ def _instrument_wiring(plant_cfg: PlantConfig,
         ReportGenerator("report"),
     ]
     wires = [
-        (control_out, "plant.CL"),
+        ("control.OUT", "plant.CL"),
         ("plant.RP", "wear_gen.IN"),
         ("plant.RT", "rtv_int.IN"), ("plant.RTB", "rtv_int.RES"),
         ("plant.RP", "rpv_int.IN"), ("plant.RTB", "rpv_int.RES"),
@@ -183,15 +191,9 @@ def _instrument_wiring(plant_cfg: PlantConfig,
         ("wear_cost.OUT", "re_sum.IN3"),
         ("plant.RTB", "op_timer.STR"), ("plant.PTF", "op_timer.FIN"),
         ("plant.PTF", "report.STR"),
-        (control_out, "report.IN1"),
-        ("op_timer.TIM", "report.IN2"),
-        ("rtv_int.OUT", "report.IN3"),
-        ("rpv_int.OUT", "report.IN4"),
-        ("ptv_int.OUT", "report.IN5"),
-        ("rwv_int.OUT", "report.IN6"),
-        ("re_sum.OUT", "report.IN7"),
-        ("output_value.OUT", "report.IN8"),
     ]
+    wires += [(source, f"report.IN{i}")
+              for i, source in enumerate(_REPORT_SOURCES, start=1)]
     return blocks, wires
 
 
@@ -204,7 +206,7 @@ def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
     operation.  With stop_on_boundary set, the strobe that follows the
     boundary operation halts the system.
     """
-    blocks, wires = _instrument_wiring(plant_cfg, "control.OUT")
+    blocks, wires = _instrument_wiring(plant_cfg)
     blocks += [
         PulseTrain("start"),
         UnitDelay("ptf_delay"),
@@ -224,7 +226,7 @@ def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
 
 def build_single_graph(plant_cfg: PlantConfig, control_k: float) -> BlockGraph:
     """One-operation graph driven by a constant control level."""
-    blocks, wires = _instrument_wiring(plant_cfg, "control.OUT")
+    blocks, wires = _instrument_wiring(plant_cfg)
     blocks.append(Constant("control", control_k))
     return build_graph(blocks, wires)
 
@@ -234,38 +236,47 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
     from the latched PTF-tick costs and duration."""
     records = []
     for row in report.rows:
-        k, t_op, rtv, rpv, ptv, rwv, re, pe = row.values[:8]
+        latched = row.values[:len(_REPORT_SOURCES)]
+        _, t_op, *_, re, pe = latched
         records.append(OperationRecord(
-            row.num, k, t_op, rtv, rpv, ptv, rwv, re, pe,
-            *compute_indicators(re, pe, t_op)))
+            row.num, *latched, *compute_indicators(re, pe, t_op)))
     return records
 
 
-def _check_entry(plant_cfg: PlantConfig, dt: float, k_low: float,
-                 k_high: float) -> None:
-    """Entry checks of both runs: a valid plant, controls ``k_low`` to
-    ``k_high`` above the feasible floor, and a finite dt no coarser than
-    a tenth of the shortest phase.
+def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
+                tick_budget: int, control_field: str) -> tuple[list, float]:
+    """Entry checks of every run over its controls ``ks``: a valid plant,
+    controls above the feasible floor (a refusal names ``control_field``),
+    a finite dt no coarser than a tenth of the shortest phase, and a tick
+    budget that can finish each operation, in scan order.  Returns each
+    control's ``oracle_operation`` and the dt limit.
 
-    Heating is shortest at ``k_high``.  The feasibility margin caps
-    heating at about 3.04*C/h, so the dt limit also keeps dt below the
-    explicit-Euler stability bound 2*C/h.
+    The feasibility margin caps heating at about 3.04*C/h, so the dt
+    limit also keeps dt below the explicit-Euler stability bound 2*C/h.
     """
     if not 0.0 < dt < inf:  # also false for NaN
         raise ValidationError("dt", f"must be finite and > 0, got {dt!r}")
     validate_plant_config(plant_cfg)
     k_floor = feasible_control_range(plant_cfg)
-    if k_low < k_floor:
+    if min(ks) < k_floor:
         raise InfeasibleRange(
-            f"control {k_low:g} is below the feasible control floor "
-            f"{k_floor:g}")
+            f"{control_field}={min(ks):g} is below the feasible control "
+            f"floor {k_floor:g}")
+    ops = [oracle_operation(plant_cfg, k) for k in ks]
     limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
                 plant_cfg.batch_volume / plant_cfg.release_intensity,
-                oracle_heating_time(plant_cfg, k_high)) / 10.0
+                *(op["heat_time"] for op in ops)) / 10.0
     if dt > limit:
         raise ValidationError(
             "dt", f"must be at most {limit:g} s, a tenth of the shortest "
             f"phase, got {dt:g}")
+    for k, op in zip(ks, ops):
+        ticks = op["t_op"] / dt
+        if tick_budget < ticks - BUDGET_SLACK_TICKS:
+            raise TickBudgetExceeded(
+                0, f"tick_budget {tick_budget} cannot finish the operation at "
+                f"control {k:g}, predicted to take {ticks:.0f} ticks", k)
+    return ops, limit
 
 
 def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
@@ -297,10 +308,9 @@ def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
             run_until(graph, clock, lambda g, c: False,
                       tick_budget=tick_budget, observer=observer)
     except TickBudgetExceeded as exc:
-        err = TickBudgetExceeded(
-            exc.tick, detail=f"operation at control {k:g} unfinished")
-        err.control_k = k
-        raise err from None
+        raise TickBudgetExceeded(
+            exc.tick, f"{exc} (operation at control {k:g} unfinished)",
+            k) from None
     if len(report.rows) != len(ks):
         raise SimulationError(
             f"run stopped with {len(report.rows)} of {len(ks)} operations")
@@ -315,19 +325,21 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
     """Run one complete operation per scan point through the scanner's
     strobe protocol and rank the records."""
     validate_sweep_config(sweep)
-    _check_entry(plant_cfg, dt, sweep.k_min, sweep.k_max)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
+    check_entry(plant_cfg, ks, dt, sweep.tick_budget, "k_min")
     return _run(build_sweep_graph(plant_cfg, sweep), ks, dt,
                 sweep.tick_budget, get_criterion(sweep.criterion),
                 sweep.stop_on_boundary)
 
 
 def run_single(plant_cfg: PlantConfig, control_k: float,
-               dt: float = DEFAULT_DT, tick_budget: int = 2_000_000,
-               criterion: str = "efficiency") -> SweepReport:
+               dt: float = DEFAULT_DT, tick_budget: int = DEFAULT_TICK_BUDGET,
+               criterion: str = DEFAULT_CRITERION) -> SweepReport:
     """One complete operation at a fixed control in a fresh graph,
     packaged as a one-record report."""
-    _check_entry(plant_cfg, dt, control_k, control_k)
+    _require_positive("control_k", control_k)
+    validate_run_settings(criterion, tick_budget)
+    check_entry(plant_cfg, [control_k], dt, tick_budget, "control_k")
     return _run(build_single_graph(plant_cfg, control_k), [control_k], dt,
                 tick_budget, get_criterion(criterion), False)

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from batchsim import (Constant, IntervalTimer, InvalidRange, Multiplier,
                       PulseTrain, RangeScanner, ReportGenerator,
                       ResettableIntegrator, SequenceSource, SimClock,
-                      Summator, build_graph, run_until, step)
+                      Summator, build_graph, enumerate_scan_values,
+                      run_until, step)
 
 from test_kernel import PulseAt
 
@@ -82,6 +83,18 @@ class TestRangeScanner:
 
     def test_nonpositive_step_rejected(self):
         scanner = RangeScanner("control", 0.0, 5.0, 0.0)
+        with pytest.raises(InvalidRange):
+            drive_scanner(scanner, 1)
+
+    @pytest.mark.parametrize("minimum, maximum, step_size", [
+        (math.nan, 5.0, 1.0), (0.0, math.nan, 1.0), (0.0, 5.0, math.nan),
+        (-math.inf, 5.0, 1.0), (0.0, math.inf, 1.0), (0.0, 5.0, math.inf)])
+    def test_non_finite_range_rejected(self, minimum, maximum, step_size):
+        # A NaN range or step used to pass the guards, and enumerating it
+        # never reached the boundary.
+        with pytest.raises(InvalidRange):
+            enumerate_scan_values(minimum, maximum, step_size)
+        scanner = RangeScanner("control", minimum, maximum, step_size)
         with pytest.raises(InvalidRange):
             drive_scanner(scanner, 1)
 

@@ -160,6 +160,7 @@ class TestCli:
         assert "k_min_feasible: 0.525" in out
         assert "predicted_operations: 13" in out
         assert "heating_time_at_k_min:" in out
+        assert "dt_limit: 1\n" in out
 
     def test_validate_infeasible_names_endpoint(self, tmp_path, capsys):
         # The reference floor is 0.525, so 0.5 is just below it.
@@ -170,6 +171,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "k_min=0.5" in out
+
+    @pytest.mark.parametrize("edit, status, expected", [
+        (None, 0, None),
+        (("batch_volume = 10.0", "batch_volume = 0.5"), 1, "dt: must be"),
+        (("tick_budget = 2000000", "tick_budget = 1000"), 1,
+         "tick_budget 1000 cannot finish"),
+        (("k_min = 0.6", "k_min = 0.5"), 1, "k_min=0.5 is below"),
+    ], ids=["reference", "batch_volume", "tick_budget", "k_min"])
+    def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys,
+                                                 edit, status, expected):
+        text = read_reference_text()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == status
+        out = capsys.readouterr().out
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "results")]) == status
+        err = capsys.readouterr().err
+        if expected is not None:
+            assert f"infeasible: {expected}" in out
+            assert f"error: {expected}" in err
 
     def test_validate_bad_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -1,5 +1,6 @@
 """Sweep orchestration: record protocol, extremum location, oracles,
-sweep/single-run equivalence and entry checks."""
+sweep/single-run equivalence, entry checks and properties over random
+feasible plants."""
 
 from __future__ import annotations
 
@@ -7,17 +8,25 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchsim import (Criterion, InfeasibleRange, NoValidRecords,
                       OperationRecord, SweepConfig, TickBudgetExceeded,
-                      ValidationError, find_extremum, get_criterion,
+                      ValidationError, enumerate_scan_values,
+                      feasible_control_range, find_extremum, get_criterion,
                       oracle_heating_time, oracle_operation, run_single,
-                      run_sweep)
+                      run_sweep, sweep as sweep_module)
 
 from conftest import make_reference_plant, operation_pulses
 
 # 1.01 s is just above the reference limit: a tenth of the 10 s fill.
 BAD_DTS = [math.nan, math.inf, 0.0, -1.0, 1.01]
+
+# Bad run_single arguments -> the field name a ValidationError carries.
+BAD_SINGLE_ARGS = [({"control_k": math.nan}, "control_k"),
+                   ({"control_k": math.inf}, "control_k"),
+                   ({"tick_budget": 0}, "tick_budget"),
+                   ({"criterion": "bogus"}, "criterion")]
 
 # PlantConfig attribute -> the field name a ValidationError carries.
 PLANT_FIELDS = [("heat_capacity", "heat_capacity"),
@@ -25,6 +34,49 @@ PLANT_FIELDS = [("heat_capacity", "heat_capacity"),
                 ("ambient_temp", "ambient_temp"), ("fill_rate", "fill_rate"),
                 ("heater_nominal_power", "heater_nominal_power"),
                 ("wear_alpha", "alpha")]
+
+
+def _refuse_graph(*args):
+    raise AssertionError("a graph was built for a run refused at entry")
+
+
+def _ticks_taken(report):
+    """Ticks a run stepped: it starts at tick 0 and its last step raises
+    the last phase pulse."""
+    return round(report.pulse_events[-1][1] / report.dt) + 1
+
+
+@st.composite
+def feasible_cases(draw):
+    """A random feasible plant, a 3-point ascending sweep with controls
+    between 1.2x and 3x the feasible floor, and dt a twentieth of the
+    shortest phase (fill, release, or heating at the top control)."""
+    fill_s = draw(st.floats(5.0, 20.0))
+    release_s = fill_s * draw(st.floats(0.5, 2.0))
+    mass = draw(st.floats(1.0, 20.0))
+    ambient = draw(st.floats(-10.0, 30.0))
+    delta = draw(st.floats(20.0, 80.0))
+    power = draw(st.floats(500.0, 5000.0))
+    eta = draw(st.floats(0.8, 1.0))
+    # Control at which delivered power only just offsets the losses.
+    k_zero = draw(st.floats(0.2, 1.0))
+    loss = k_zero * power * eta / delta
+    plant = replace(make_reference_plant(), batch_volume=mass,
+                    fill_rate=mass / fill_s,
+                    release_intensity=mass / release_s,
+                    ambient_temp=ambient, setpoint=ambient + delta,
+                    loss_coeff=loss, heater_nominal_power=power,
+                    heater_efficiency=eta)
+    floor = feasible_control_range(plant)
+    low = floor * draw(st.floats(1.2, 2.5))
+    high = floor * draw(st.floats(low / floor + 0.25, 3.0))
+    # Heating at the top control lasts 1 to 3 fills.
+    heat_high = fill_s * draw(st.floats(1.0, 3.0))
+    plant = replace(plant, heat_capacity=loss * heat_high
+                    / -math.log1p(-k_zero / high))
+    sweep = SweepConfig(k_min=low, k_max=high, k_step=(high - low) / 2)
+    dt = min(fill_s, release_s, oracle_heating_time(plant, high)) / 20.0
+    return plant, sweep, k_zero, dt
 
 
 def _record(num, k, score_stand_in):
@@ -197,6 +249,19 @@ class TestRunSweep:
             run_sweep(reference_plant, sweep)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("budget", [500, 39_000])
+    def test_insufficient_budget_refused_before_any_tick(
+            self, reference_plant, reference_sweep, monkeypatch, budget):
+        # Control 0.6 is predicted to take 39,675 ticks.
+        monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        with pytest.raises(TickBudgetExceeded) as excinfo:
+            run_sweep(reference_plant,
+                      replace(reference_sweep, tick_budget=budget))
+        assert excinfo.value.control_k == pytest.approx(0.6)
+        assert excinfo.value.tick == 0
+        assert "exhausted" not in str(excinfo.value)
+        assert "39675 ticks" in str(excinfo.value)
+
     def test_tick_budget_caps_each_operation(self, reference_plant,
                                              reference_sweep, coarse_report):
         # The longest operation (control 0.6) takes 39,675 ticks, the
@@ -251,8 +316,74 @@ class TestRunSingle:
             run_single(plant, 1.0)
         assert excinfo.value.field == field
 
+    @pytest.mark.parametrize("kwargs, field", BAD_SINGLE_ARGS,
+                             ids=["nan_control", "inf_control", "zero_budget",
+                                  "unknown_criterion"])
+    def test_bad_argument_rejected_at_entry(self, reference_plant,
+                                            monkeypatch, kwargs, field):
+        monkeypatch.setattr(sweep_module, "build_single_graph",
+                            _refuse_graph)
+        args = {"control_k": 1.0, **kwargs}
+        with pytest.raises(ValidationError) as excinfo:
+            run_single(reference_plant, **args)
+        assert excinfo.value.field == field
+
+    def test_budget_accepted_at_entry_still_caps_the_run(self,
+                                                         reference_plant):
+        # Within the entry check's slack below t_op/dt, the budget is left
+        # to the run, which stops at it and names the control.
+        predicted = oracle_operation(reference_plant, 3.0)["t_op"] / 0.1
+        budget = math.ceil(predicted - sweep_module.BUDGET_SLACK_TICKS)
+        with pytest.raises(TickBudgetExceeded) as excinfo:
+            run_single(reference_plant, 3.0, tick_budget=budget)
+        assert excinfo.value.control_k == 3.0
+        assert excinfo.value.tick > 0
+
     def test_custom_criterion_threading(self, reference_plant):
         report = run_single(reference_plant, 1.0, criterion="value_added")
         rec = report.records[0]
         assert report.extremum.score == pytest.approx(rec.pe - rec.re,
                                                       rel=1e-12)
+
+
+class TestRandomFeasiblePlants:
+    """Properties over random feasible plants.
+
+    Error bound: each of the three phase ends (fill, heating, release) is
+    quantised to one step, and explicit Euler shifts the end of heating by
+    about -ln(1 - k_zero/k) / 2 steps, under one step for controls at
+    least 1.2x the floor (1.26 k_zero).  A correct run is therefore within
+    4 steps of the closed form in t_op, and in the heating time that rpv
+    and rwv are proportional to.
+    """
+
+    ERROR_STEPS = 3 + 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(feasible_cases())
+    def test_records_near_closed_form_and_equal_single_twins(self, case):
+        plant, sweep, k_zero, dt = case
+        report = run_sweep(plant, sweep, dt=dt)
+        ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step)
+        assert [rec.control_k for rec in report.records] == ks
+        assert len(ks) == 3
+        for rec in report.records:
+            assert -math.log1p(-k_zero / rec.control_k) / 2 < 1.0
+            op = oracle_operation(plant, rec.control_k)
+            bound = self.ERROR_STEPS * dt / op["heat_time"]
+            for field in ("t_op", "rpv", "rwv"):
+                assert abs(getattr(rec, field) - op[field]) <= \
+                    bound * op[field]
+            single = run_single(plant, rec.control_k, dt=dt).records[0]
+            assert replace(single, num=rec.num) == rec
+
+    @settings(max_examples=25, deadline=None)
+    @given(feasible_cases(), st.integers(0, 2))
+    def test_budget_of_ticks_taken_is_accepted(self, case, index):
+        plant, sweep, _, dt = case
+        k = enumerate_scan_values(sweep.k_min, sweep.k_max,
+                                  sweep.k_step)[index]
+        report = run_single(plant, k, dt=dt)
+        again = run_single(plant, k, dt=dt,
+                           tick_budget=_ticks_taken(report))
+        assert again.records == report.records
