@@ -1,5 +1,6 @@
 """Generic instrument blocks: sources, arithmetic, integrator, timer,
-control-range scanner and the report latch.
+control-range scanner and the report latch, which records rows and has
+no outputs.
 
 Port names follow the plant-floor convention used across the project:
 configuration ports are written in full words at construction time, while
@@ -27,13 +28,12 @@ _BOUNDARY_TOL = 1e-9
 _MAX_SCAN_POINTS = 1_000_000
 
 
-def _check_range(what: str, minimum: float, maximum: float,
-                 step: float) -> None:
+def _check_range(minimum: float, maximum: float, step: float) -> None:
     """Refuse all but finite minimum < maximum and 0 < step < inf (so NaN)."""
     if not (-inf < minimum < maximum < inf and 0.0 < step < inf):
         raise InvalidRange(
-            f"{what} requires finite minimum < maximum and finite step > 0, "
-            f"got [{minimum}, {maximum}] step {step}")
+            f"scan range requires finite minimum < maximum and finite "
+            f"step > 0, got [{minimum}, {maximum}] step {step}")
 
 
 def scan_value(minimum: float, maximum: float, step: float,
@@ -45,6 +45,7 @@ def scan_value(minimum: float, maximum: float, step: float,
     accumulated, so the emitted sequence is identical no matter where it
     is produced (scanner block, sweep planner, validators).
     """
+    _check_range(minimum, maximum, step)
     tol = _BOUNDARY_TOL * step
     if direction == 0:
         raw = minimum + index * step
@@ -60,7 +61,7 @@ def scan_value(minimum: float, maximum: float, step: float,
 def enumerate_scan_values(minimum: float, maximum: float, step: float,
                           direction: int = 0) -> list[float]:
     """Full ordered scan sequence, boundary point included."""
-    _check_range("scan range", minimum, maximum, step)
+    _check_range(minimum, maximum, step)
     if (maximum - minimum) / step > _MAX_SCAN_POINTS:
         raise InvalidRange("scan step is too small for the range")
     values = []
@@ -249,9 +250,6 @@ class RangeScanner(Block):
     def evaluate(self, clock: SimClock) -> None:
         if self.read("STR") <= 0.5:
             return
-        if self._emitted == 0 and not self._boundary:
-            _check_range(f"scanner {self.name!r}", self.minimum,
-                         self.maximum, self.step)
         if self._boundary:
             if self.stop_on_boundary:
                 self.request_halt()
@@ -274,17 +272,13 @@ class ReportRow:
 
 
 class ReportGenerator(Block):
-    """Ten-channel report latch.
+    """Ten-channel report latch: a recorder with no outputs.
 
-    Between strobes the inputs may change freely; an STR pulse copies the
-    ten input channels to the outputs, appends an immutable row to
-    ``rows`` and bumps the NUM ordinal (1-based).  Outputs hold the last
-    latched values until the next strobe.
+    Between strobes the inputs may change freely; an STR pulse appends an
+    immutable row of the ten input channels to ``rows``, numbered from 1.
     """
 
-    N_CHANNELS = 10
     input_ports = ("STR",) + tuple(f"IN{i}" for i in range(1, 11))
-    output_ports = ("NUM",) + tuple(f"OUT{i}" for i in range(1, 11))
 
     def __init__(self, name: str):
         super().__init__(name)
@@ -293,10 +287,5 @@ class ReportGenerator(Block):
     def evaluate(self, clock: SimClock) -> None:
         if self.read("STR") <= 0.5:
             return
-        values = tuple(self.read(f"IN{i}") for i in range(1, self.N_CHANNELS + 1))
-        row = ReportRow(len(self.rows) + 1, values)
-        self.rows.append(row)
-        self.out["NUM"] = float(row.num)
-        out = self.out
-        for i, v in enumerate(values, start=1):
-            out[f"OUT{i}"] = v
+        values = tuple(self.read(port) for port in self.input_ports[1:])
+        self.rows.append(ReportRow(len(self.rows) + 1, values))

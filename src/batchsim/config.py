@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import get_type_hints
 
 from .econ import BUILTIN_CRITERIA
 from .plant import PlantConfig, UnitCosts
@@ -81,37 +82,29 @@ def _to_bool(field: str, raw: str) -> bool:
     raise ValidationError(field, f"not a boolean: {raw!r}")
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "plant": {
-        "batch_volume": _to_float,
-        "fill_rate": _to_float,
-        "release_intensity": _to_float,
-        "ambient_temp": _to_float,
-        "setpoint": _to_float,
-        "heat_capacity": _to_float,
-        "loss_coeff": _to_float,
-        "heater_nominal_power": _to_float,
-        "heater_efficiency": _to_float,
-    },
-    "costs": {
-        "raw": _to_float,
-        "energy": _to_float,
-        "wear": _to_float,
-        "output": _to_float,
-    },
-    "wear": {
-        "t_nominal": _to_float,
-        "alpha": _to_float,
-    },
-    "sweep": {
-        "k_min": _to_float,
-        "k_max": _to_float,
-        "k_step": _to_float,
-        "direction": str,
-        "criterion": str,
-        "stop_on_boundary": _to_bool,
-        "tick_budget": _to_int,
-    },
+# Key converters by field type, as reportio's column codecs.
+_CONVERTERS = {float: _to_float, int: _to_int, bool: _to_bool,
+               str: lambda field, raw: raw.strip()}
+
+
+def _keys(cls) -> dict[str, object]:
+    """Converter of each scalar field of ``cls``, in declaration order."""
+    return {name: _CONVERTERS[kind]
+            for name, kind in get_type_hints(cls).items()
+            if kind in _CONVERTERS}
+
+
+# One key per dataclass field: [plant] holds the PlantConfig fields but
+# the wear_* ones, which [wear] holds unprefixed; [costs] is UnitCosts.
+_PLANT_KEYS = _keys(PlantConfig)
+_SCHEMA = {
+    "plant": {name: convert for name, convert in _PLANT_KEYS.items()
+              if not name.startswith("wear_")},
+    "costs": _keys(UnitCosts),
+    "wear": {name.removeprefix("wear_"): convert
+             for name, convert in _PLANT_KEYS.items()
+             if name.startswith("wear_")},
+    "sweep": _keys(SweepConfig),
 }
 
 # Sweep keys that fall back to SweepConfig defaults when omitted.
@@ -195,9 +188,7 @@ def parse_config(text: str) -> tuple[PlantConfig, SweepConfig]:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ValidationError(f"{section}.{key}", "unknown key")
-            converter = schema[key]
-            out[key] = raw.strip() if converter is str else converter(
-                f"{section}.{key}", raw)
+            out[key] = schema[key](f"{section}.{key}", raw)
         values[section] = out
 
     for section, schema in _SCHEMA.items():
@@ -209,11 +200,8 @@ def parse_config(text: str) -> tuple[PlantConfig, SweepConfig]:
                 continue
             raise ValidationError(f"{section}.{key}", "missing required key")
 
-    # [plant] and [costs] keys are the PlantConfig and UnitCosts fields.
-    wear = values["wear"]
-    plant_cfg = PlantConfig(**values["plant"],
-                            wear_t_nominal=wear["t_nominal"],
-                            wear_alpha=wear["alpha"],
+    wear = {f"wear_{key}": value for key, value in values["wear"].items()}
+    plant_cfg = PlantConfig(**values["plant"], **wear,
                             unit_costs=UnitCosts(**values["costs"]))
     sweep_cfg = SweepConfig(**values["sweep"])
     validate_plant_config(plant_cfg)

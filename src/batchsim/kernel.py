@@ -63,17 +63,19 @@ class TickBudgetExceeded(SimulationError):
 class SimClock:
     """Simulation time base.
 
-    ``t`` is recomputed from the tick count on every advance, so repeated
-    addition can never accumulate drift: t == tick_index * dt exactly.
+    ``t`` is derived from the tick count, so repeated addition can never
+    accumulate drift: t == tick_index * dt exactly.
     """
 
     dt: float
     tick_index: int = 0
-    t: float = 0.0
+
+    @property
+    def t(self) -> float:
+        return self.tick_index * self.dt
 
     def advance(self) -> None:
         self.tick_index += 1
-        self.t = self.tick_index * self.dt
 
 
 class Block:
@@ -255,17 +257,15 @@ def _raise_numeric_fault(graph: BlockGraph, clock: SimClock) -> None:
 
 
 StopPredicate = Callable[[BlockGraph, SimClock], bool]
-Observer = Callable[[BlockGraph, SimClock], None]
 
 
 def run_until(graph: BlockGraph, clock: SimClock, predicate: StopPredicate,
-              tick_budget: int,
-              observer: Observer | None = None) -> SimClock:
+              tick_budget: int) -> SimClock:
     """Step until ``predicate`` is true, a block halts the system, or the
     tick budget runs out (which raises :class:`TickBudgetExceeded`).
 
-    ``predicate`` must be a pure function of port values and the clock.
-    ``observer``, when given, runs after every completed tick.
+    ``predicate`` must be a pure function of port values, block state
+    and the clock.
     """
     if predicate(graph, clock):
         return clock
@@ -275,8 +275,6 @@ def run_until(graph: BlockGraph, clock: SimClock, predicate: StopPredicate,
             raise TickBudgetExceeded(clock.tick_index)
         step(graph, clock)
         steps += 1
-        if observer is not None:
-            observer(graph, clock)
         if predicate(graph, clock):
             break
     return clock

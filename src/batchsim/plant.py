@@ -116,7 +116,9 @@ class BatchHeaterPlant(Block):
 
     Level outputs carry the current flow rates (RT raw kg/s, RP energy W,
     PT output kg/s), the batch temperature TMP, and RWM, which goes to 1
-    only when an operation had to be aborted.
+    only when an operation had to be aborted.  Each phase pulse is also
+    logged to ``events`` as a (name, tick index) pair, the name being
+    rtb, rtf, red or ptf.
 
     A fill or drain tick that would overshoot the batch volume is scaled
     to land exactly on the boundary, so integrated flow volumes equal the
@@ -130,6 +132,7 @@ class BatchHeaterPlant(Block):
         super().__init__(name)
         self.config = config
         self.state = PlantState(temp=config.ambient_temp)
+        self.events: list[tuple[str, int]] = []
         c = config
         self._batch = c.batch_volume
         self._fill = c.fill_rate
@@ -160,6 +163,7 @@ class BatchHeaterPlant(Block):
             if temp >= self._setpoint:
                 state.phase = RELEASING
                 self.pulse("RED")
+                self.events.append(("red", clock.tick_index))
         elif phase == FILLING:
             room = self._batch - state.mass_in_vessel
             rt = self._fill if room >= self._fill * dt else room / dt
@@ -168,6 +172,7 @@ class BatchHeaterPlant(Block):
                 state.mass_in_vessel = self._batch
                 state.phase = HEATING
                 self.pulse("RTF")
+                self.events.append(("rtf", clock.tick_index))
         elif phase == RELEASING:
             mass = state.mass_in_vessel
             pt = self._release if mass >= self._release * dt else mass / dt
@@ -176,6 +181,7 @@ class BatchHeaterPlant(Block):
                 mass = 0.0
                 state.phase = IDLE
                 self.pulse("PTF")
+                self.events.append(("ptf", clock.tick_index))
             state.mass_in_vessel = mass
         else:  # IDLE
             k = self.read("CL")
@@ -187,6 +193,7 @@ class BatchHeaterPlant(Block):
                 state.temp = self._t_amb
                 state.mass_in_vessel = 0.0
                 self.pulse("RTB")
+                self.events.append(("rtb", clock.tick_index))
 
         out["RT"] = rt
         out["RP"] = rp

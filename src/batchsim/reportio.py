@@ -25,9 +25,15 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
+def _parse_flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 1 or 0, got {cell!r}")
+    return cell == "1"
+
+
 # (write, read) of a column, by the type of its record field.
 _CODECS = {float: (_fmt, float), int: (str, int),
-           bool: (lambda v: "1" if v else "0", lambda s: s == "1")}
+           bool: (lambda v: "1" if v else "0", _parse_flag)}
 # One column per OperationRecord field, in declaration order.
 _COLUMNS = [(name, *_CODECS[kind])
             for name, kind in get_type_hints(OperationRecord).items()]

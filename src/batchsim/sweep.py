@@ -283,30 +283,17 @@ def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
          criterion: Criterion, until_halt: bool) -> SweepReport:
     """Run one operation per control in ``ks``, each within
     ``tick_budget`` ticks; with ``until_halt``, step on until a block
-    halts the graph.  Records come from the report latch."""
+    halts the graph.  Records come from the report latch, pulse events
+    from the plant's log."""
     report: ReportGenerator = graph.block("report")
-    plant_out = graph.block("plant").out
-    events: list[tuple[str, int]] = []
-
-    def observer(g: BlockGraph, clock: SimClock) -> None:
-        tick = clock.tick_index - 1
-        if plant_out["RTB"] > 0.5:
-            events.append(("rtb", tick))
-        if plant_out["RTF"] > 0.5:
-            events.append(("rtf", tick))
-        if plant_out["RED"] > 0.5:
-            events.append(("red", tick))
-        if plant_out["PTF"] > 0.5:
-            events.append(("ptf", tick))
-
     clock = SimClock(dt)
     try:
         for n, k in enumerate(ks, start=1):
             run_until(graph, clock, lambda g, c, n=n: len(report.rows) >= n,
-                      tick_budget=tick_budget, observer=observer)
+                      tick_budget=tick_budget)
         if until_halt:
             run_until(graph, clock, lambda g, c: False,
-                      tick_budget=tick_budget, observer=observer)
+                      tick_budget=tick_budget)
     except TickBudgetExceeded as exc:
         raise TickBudgetExceeded(
             exc.tick, f"{exc} (operation at control {k:g} unfinished)",
@@ -315,7 +302,8 @@ def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
         raise SimulationError(
             f"run stopped with {len(report.rows)} of {len(ks)} operations")
     records = _assemble_records(report)
-    pulse_events = [(channel, tick * dt) for channel, tick in events]
+    pulse_events = [(channel, tick * dt)
+                    for channel, tick in graph.block("plant").events]
     return SweepReport(records, criterion.name,
                        find_extremum(records, criterion), pulse_events, dt)
 

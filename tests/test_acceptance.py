@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from batchsim import (FlowVolumes, PulseTrain, RangeScanner, SimClock,
                       UnitCosts, aggregate_costs, build_graph,
-                      oracle_cost_curve, oracle_heating_time, run_sweep,
-                      step, wear_rate, write_report)
+                      oracle_cost_curve, oracle_heating_time, run_single,
+                      run_sweep, step, wear_rate, write_report)
 
 from conftest import (make_reference_plant, make_reference_sweep,
                       operation_pulses)
@@ -26,6 +26,16 @@ GOLDEN_DIGESTS = {
         "96e5851c6a05d5e9eafac00b1c78e675f037ba661c059f8064d00e61ce0b4b01",
     "summary.txt":
         "7132bcd916fcc41b5f0d4a62c83bd04014f6dd34d80c479392e29dbdf73ec32a",
+}
+
+# sha256 of repr(report.pulse_events): the reference sweep at dt=0.1 (53
+# events, ending with the stray rtb of the halting tick) and
+# run_single(reference plant, 0.7).
+GOLDEN_PULSE_DIGESTS = {
+    "sweep":
+        "755d2c6aa4901fe0e3a881d022b4659888742d80c25e03375a3c5ef0c1da4996",
+    "single_0.7":
+        "1839c28240e210642ec4c4347724e69d3c86789d1adee3e89e229aed0df7f2e0",
 }
 
 
@@ -252,3 +262,10 @@ def test_reference_report_matches_golden_digests(coarse_report, tmp_path):
     paths = write_report(coarse_report, tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths} == GOLDEN_DIGESTS
+
+
+def test_pulse_streams_match_golden_digests(coarse_report, reference_plant):
+    reports = {"sweep": coarse_report,
+               "single_0.7": run_single(reference_plant, 0.7)}
+    assert {name: hashlib.sha256(repr(r.pulse_events).encode()).hexdigest()
+            for name, r in reports.items()} == GOLDEN_PULSE_DIGESTS

@@ -136,6 +136,17 @@ class TestWriteReport:
         assert not parsed.valid
         assert math.isnan(parsed.rnt)
 
+    @pytest.mark.parametrize("cell", ["yes", "", "2", "true"])
+    def test_malformed_valid_cell_rejected(self, small_report, tmp_path,
+                                           cell):
+        # Only 1 or 0 is a flag; anything else used to parse as False.
+        csv_path, _ = write_report(small_report, tmp_path)
+        header, row, *rest = csv_path.read_text().splitlines()
+        row = row.rsplit(",", 1)[0] + "," + cell
+        csv_path.write_text("\n".join([header, row, *rest]) + "\n")
+        with pytest.raises(ValueError):
+            read_operations_csv(csv_path)
+
     def test_empty_report_refused(self, small_report, tmp_path):
         report = replace(small_report, records=[])
         with pytest.raises(ValueError):

@@ -73,17 +73,12 @@ def run_one_operation(cfg, k, dt=0.1):
         blocks.append(ResettableIntegrator(name))
         wires += [(source, f"{name}.IN"), ("plant.RTB", f"{name}.RES")]
     graph = build_graph(blocks, wires)
-    clock = SimClock(dt=dt)
+    run_until(graph, SimClock(dt=dt),
+              lambda g, c: any(name == "ptf" for name, _ in plant.events),
+              tick_budget=2_000_000)
     pulses = {}
-
-    def observer(g, c):
-        tick = c.tick_index - 1
-        for port in ("RTB", "RTF", "RED", "PTF"):
-            if plant.out[port] > 0.5:
-                pulses.setdefault(port, []).append(tick)
-
-    run_until(graph, clock, lambda g, c: "PTF" in pulses,
-              tick_budget=2_000_000, observer=observer)
+    for name, tick in plant.events:
+        pulses.setdefault(name.upper(), []).append(tick)
     return pulses, graph
 
 
@@ -198,15 +193,10 @@ class TestOperationProtocol:
         plant = BatchHeaterPlant("plant", cfg)
         graph = build_graph([Constant("control", 2.0), plant],
                             [("control.OUT", "plant.CL")])
-        clock = SimClock(dt=0.1)
-        ptf_ticks = []
-
-        def observer(g, c):
-            if plant.out["PTF"] > 0.5:
-                ptf_ticks.append(c.tick_index - 1)
-
-        run_until(graph, clock, lambda g, c: len(ptf_ticks) >= 3,
-                  tick_budget=2_000_000, observer=observer)
+        run_until(graph, SimClock(dt=0.1),
+                  lambda g, c: sum(n == "ptf" for n, _ in plant.events) >= 3,
+                  tick_budget=2_000_000)
+        ptf_ticks = [tick for name, tick in plant.events if name == "ptf"]
         spans = [b - a for a, b in zip(ptf_ticks, ptf_ticks[1:])]
         assert spans[0] == spans[1]  # identical operations tick for tick
 
