@@ -13,8 +13,8 @@ from .plant import (BatchHeaterPlant, FEASIBILITY_MARGIN,
                     NeverReachesSetpoint, PlantConfig, PlantState, UnitCosts,
                     WearRateGenerator, feasible_control_range, wear_rate)
 from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
-                   OperationEvaluator, OperationRecord, UnknownCriterion,
-                   aggregate_costs, compute_indicators, get_criterion)
+                   OperationEvaluator, OperationRecord, aggregate_costs,
+                   compute_indicators)
 from .sweep import (DEFAULT_DT, ExtremumResult, InfeasibleRange,
                     NoValidRecords, SweepReport, find_extremum,
                     oracle_cost_curve, oracle_heating_time, oracle_operation,

@@ -3,12 +3,13 @@ operation evaluator block, and pluggable optimization criteria.
 
 Three key indicators describe every completed operation: the cost of its
 inputs (re), the cost estimate of its output (pe) and its duration
-(t_op).  Everything else derives from those three:
+(t_op).  ``compute_indicators`` derives everything else from those
+three, and the criteria rank the record fields it fills:
 
 * value added   prf = pe - re
 * profitability rnt = prf / re
 * resource intensity r = re * t_op
-* efficiency        e = prf / (re * t_op)
+* efficiency        e = prf / r
 
 Resource intensity and efficiency have no single canonical formula; the
 ones above are dimensionally coherent and reward value added per unit of
@@ -24,8 +25,6 @@ from .kernel import Block, SimClock
 from .plant import UnitCosts
 
 NAN = float("nan")
-
-IndicatorFn = Callable[[float, float, float], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,35 +63,22 @@ class OperationRecord:
 
 @dataclass(frozen=True, slots=True)
 class Criterion:
-    """Named optimization score over (re, pe, t_op); higher is better."""
+    """Named score of an ``OperationRecord``, higher is better; it may
+    rank any field, such as ``rwv`` for wear."""
 
     name: str
-    score: IndicatorFn
+    score: Callable[[OperationRecord], float]
 
 
 BUILTIN_CRITERIA: dict[str, Criterion] = {
     c.name: c for c in (
-        Criterion("value_added", lambda re, pe, t_op: pe - re),
-        Criterion("profitability", lambda re, pe, t_op: (pe - re) / re),
-        Criterion("efficiency", lambda re, pe, t_op: (pe - re) / (re * t_op)),
-        Criterion("neg_cost", lambda re, pe, t_op: -re),
-        Criterion("neg_resource_intensity",
-                  lambda re, pe, t_op: -(re * t_op)),
+        Criterion("value_added", lambda rec: rec.prf),
+        Criterion("profitability", lambda rec: rec.rnt),
+        Criterion("efficiency", lambda rec: rec.e),
+        Criterion("neg_cost", lambda rec: -rec.re),
+        Criterion("neg_resource_intensity", lambda rec: -rec.r),
     )
 }
-
-
-class UnknownCriterion(KeyError):
-    pass
-
-
-def get_criterion(name: str) -> Criterion:
-    try:
-        return BUILTIN_CRITERIA[name]
-    except KeyError:
-        raise UnknownCriterion(
-            f"unknown criterion {name!r}; available: "
-            + ", ".join(sorted(BUILTIN_CRITERIA))) from None
 
 
 def aggregate_costs(volumes: FlowVolumes,

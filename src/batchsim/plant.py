@@ -162,8 +162,7 @@ class BatchHeaterPlant(Block):
             state.temp = temp
             if temp >= self._setpoint:
                 state.phase = RELEASING
-                self.pulse("RED")
-                self.events.append(("red", clock.tick_index))
+                self._phase_pulse("RED", clock)
         elif phase == FILLING:
             room = self._batch - state.mass_in_vessel
             rt = self._fill if room >= self._fill * dt else room / dt
@@ -171,8 +170,7 @@ class BatchHeaterPlant(Block):
             if state.mass_in_vessel >= self._batch - self._mass_eps:
                 state.mass_in_vessel = self._batch
                 state.phase = HEATING
-                self.pulse("RTF")
-                self.events.append(("rtf", clock.tick_index))
+                self._phase_pulse("RTF", clock)
         elif phase == RELEASING:
             mass = state.mass_in_vessel
             pt = self._release if mass >= self._release * dt else mass / dt
@@ -180,8 +178,7 @@ class BatchHeaterPlant(Block):
             if mass <= self._mass_eps:
                 mass = 0.0
                 state.phase = IDLE
-                self.pulse("PTF")
-                self.events.append(("ptf", clock.tick_index))
+                self._phase_pulse("PTF", clock)
             state.mass_in_vessel = mass
         else:  # IDLE
             k = self.read("CL")
@@ -192,13 +189,17 @@ class BatchHeaterPlant(Block):
                 state.phase = FILLING
                 state.temp = self._t_amb
                 state.mass_in_vessel = 0.0
-                self.pulse("RTB")
-                self.events.append(("rtb", clock.tick_index))
+                self._phase_pulse("RTB", clock)
 
         out["RT"] = rt
         out["RP"] = rp
         out["PT"] = pt
         out["TMP"] = state.temp
+
+    def _phase_pulse(self, port: str, clock: SimClock) -> None:
+        """Raise a phase pulse and log it to ``events`` in one place."""
+        self.pulse(port)
+        self.events.append((port.lower(), clock.tick_index))
 
 
 class WearRateGenerator(Block):

@@ -23,8 +23,8 @@ from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
 from .config import (DEFAULT_CRITERION, DEFAULT_TICK_BUDGET, SweepConfig,
                      ValidationError, _require_positive, validate_plant_config,
                      validate_run_settings, validate_sweep_config)
-from .econ import (Criterion, OperationRecord, compute_indicators,
-                   get_criterion)
+from .econ import (BUILTIN_CRITERIA, Criterion, OperationRecord,
+                   compute_indicators)
 from .kernel import (BlockGraph, SimClock, SimulationError,
                      TickBudgetExceeded, build_graph, run_until)
 from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
@@ -137,7 +137,7 @@ def find_extremum(records: list[OperationRecord],
     for i, rec in enumerate(records):
         if not rec.valid:
             continue
-        score = criterion.score(rec.re, rec.pe, rec.t_op)
+        score = criterion.score(rec)
         if (best_i < 0 or score > best_score
                 or (score == best_score
                     and rec.control_k < records[best_i].control_k)):
@@ -317,7 +317,7 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
                                sweep.direction_code())
     check_entry(plant_cfg, ks, dt, sweep.tick_budget, "k_min")
     return _run(build_sweep_graph(plant_cfg, sweep), ks, dt,
-                sweep.tick_budget, get_criterion(sweep.criterion),
+                sweep.tick_budget, BUILTIN_CRITERIA[sweep.criterion],
                 sweep.stop_on_boundary)
 
 
@@ -330,4 +330,4 @@ def run_single(plant_cfg: PlantConfig, control_k: float,
     validate_run_settings(criterion, tick_budget)
     check_entry(plant_cfg, [control_k], dt, tick_budget, "control_k")
     return _run(build_single_graph(plant_cfg, control_k), [control_k], dt,
-                tick_budget, get_criterion(criterion), False)
+                tick_budget, BUILTIN_CRITERIA[criterion], False)

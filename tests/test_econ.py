@@ -8,10 +8,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchsim import (Constant, FlowVolumes, Multiplier, OperationEvaluator,
-                      SimClock, Summator, UnitCosts, UnknownCriterion,
-                      aggregate_costs, build_graph, compute_indicators,
-                      get_criterion, step)
+from batchsim import (BUILTIN_CRITERIA, Constant, FlowVolumes, Multiplier,
+                      OperationEvaluator, OperationRecord, SimClock, Summator,
+                      UnitCosts, aggregate_costs, build_graph,
+                      compute_indicators, step)
 
 from test_kernel import PulseAt
 
@@ -137,19 +137,23 @@ class TestOperationEvaluator:
         assert not compute_indicators(0.0, 15.0, 2.0)[4]
 
 
+def _scored(name, re, pe, t_op):
+    """Score under a built-in criterion of a record whose indicators
+    compute_indicators filled from (re, pe, t_op)."""
+    record = OperationRecord(1, 1.0, t_op, 1.0, 1.0, 1.0, 0.0, re, pe,
+                             *compute_indicators(re, pe, t_op))
+    return BUILTIN_CRITERIA[name].score(record)
+
+
 class TestCriteria:
     def test_value_added(self):
-        assert get_criterion("value_added").score(10.0, 15.0, 2.0) == 5.0
+        assert _scored("value_added", 10.0, 15.0, 2.0) == 5.0
 
     def test_default_efficiency(self):
-        assert get_criterion("efficiency").score(10.0, 15.0, 2.0) == 0.25
+        assert _scored("efficiency", 10.0, 15.0, 2.0) == 0.25
 
     def test_neg_cost_flips_sign(self):
-        assert get_criterion("neg_cost").score(4.139, 5.0, 2.0) == -4.139
-
-    def test_unknown_criterion(self):
-        with pytest.raises(UnknownCriterion):
-            get_criterion("profit_maximizer_3000")
+        assert _scored("neg_cost", 4.139, 5.0, 2.0) == -4.139
 
 
 class TestHomogeneity:

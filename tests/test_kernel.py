@@ -111,15 +111,33 @@ def test_unit_delay_shifts_by_one_tick():
     assert seen == [0.0, 0.0, 0.0, 1.0, 0.0]
 
 
-def test_numeric_fault_names_block_and_tick():
-    blocks = [NanAt("bad", 4), Summator("s", n_inputs=1)]
-    graph = build_graph(blocks, [("bad.OUT", "s.IN1")])
+@pytest.mark.parametrize("blocks, wires, fault", [
+    ([NanAt("bad", 4), Summator("s", n_inputs=1)], [("bad.OUT", "s.IN1")],
+     ("bad", "OUT", 4)),
+    ([Constant("c", math.nan)], [], ("c", "OUT", 0)),
+    ([Constant("a", 1e200), Constant("b", 1e200), Multiplier("m")],
+     [("a.OUT", "m.IN1"), ("b.OUT", "m.IN2")], ("m", "OUT", 0)),
+    # Every port is finite though their sum overflows: the screen checks
+    # each port on its own, never a sum of them.
+    ([Constant("big", 1e308), Constant("one", 1.0), Multiplier("m1"),
+      Multiplier("m2")],
+     [("big.OUT", "m1.IN1"), ("one.OUT", "m1.IN2"),
+      ("big.OUT", "m2.IN1"), ("one.OUT", "m2.IN2")], None),
+], ids=["nan_at_tick_4", "nan_constant", "overflowing_product",
+        "finite_ports_with_overflowing_sum"])
+def test_numeric_fault_names_block_and_tick(blocks, wires, fault):
+    graph = build_graph(blocks, wires)
     clock = SimClock(dt=0.1)
+    if fault is None:
+        for _ in range(3):
+            step(graph, clock)
+        assert clock.tick_index == 3
+        return
     with pytest.raises(NumericFault) as excinfo:
         for _ in range(10):
             step(graph, clock)
-    assert excinfo.value.block == "bad"
-    assert excinfo.value.tick == 4
+    exc = excinfo.value
+    assert (exc.block, exc.port, exc.tick) == fault
 
 
 def test_run_until_predicate_stop():

@@ -10,12 +10,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchsim import (Criterion, InfeasibleRange, NoValidRecords,
-                      OperationRecord, SweepConfig, TickBudgetExceeded,
-                      ValidationError, enumerate_scan_values,
-                      feasible_control_range, find_extremum, get_criterion,
-                      oracle_heating_time, oracle_operation, run_single,
-                      run_sweep, sweep as sweep_module)
+from batchsim import (BUILTIN_CRITERIA, Criterion, InfeasibleRange,
+                      NoValidRecords, OperationRecord, SweepConfig,
+                      TickBudgetExceeded, ValidationError,
+                      enumerate_scan_values, feasible_control_range,
+                      find_extremum, oracle_heating_time, oracle_operation,
+                      run_single, run_sweep, sweep as sweep_module)
 
 from conftest import make_reference_plant, operation_pulses
 
@@ -88,7 +88,7 @@ def _record(num, k, score_stand_in):
 
 
 class TestFindExtremum:
-    CRITERION = get_criterion("value_added")
+    CRITERION = BUILTIN_CRITERIA["value_added"]
 
     def test_argmax(self):
         records = [_record(1, 0.5, 1.0), _record(2, 1.0, 3.0),
@@ -171,6 +171,12 @@ class TestRunSweep:
         sweep = replace(reference_sweep, criterion="neg_cost")
         report = run_sweep(reference_plant, sweep)
         assert 0 < report.extremum.index < len(report.records) - 1
+
+    def test_custom_criterion_ranks_any_record_field(self, coarse_report):
+        # Wear grows with k, so the least-wear operation is the first.
+        result = find_extremum(coarse_report.records,
+                               Criterion("neg_wear", lambda rec: -rec.rwv))
+        assert (result.index, result.control_k) == (0, 0.6)
 
     def test_direction_reversal_yields_same_extremum(self, reference_plant,
                                                      reference_sweep,
