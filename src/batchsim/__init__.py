@@ -6,11 +6,11 @@ from .kernel import (AlgebraicLoop, Block, BlockGraph, MultipleDrivers,
                      TickBudgetExceeded, UnknownPort, build_graph, run_until,
                      step)
 from .blocks import (Constant, IntervalTimer, InvalidRange, Multiplier,
-                     PulseTrain, RangeScanner, ReportGenerator, ReportRow,
+                     PulseTrain, RangeScanner, ReportGenerator,
                      ResettableIntegrator, SequenceSource, Summator,
                      UnitDelay, enumerate_scan_values, scan_value)
 from .plant import (BatchHeaterPlant, FEASIBILITY_MARGIN,
-                    NeverReachesSetpoint, PlantConfig, PlantState, UnitCosts,
+                    NeverReachesSetpoint, PlantConfig, UnitCosts,
                     WearRateGenerator, feasible_control_range, wear_rate)
 from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
                    OperationEvaluator, OperationRecord, aggregate_costs,

@@ -10,7 +10,6 @@ for reset, TIM for measured time, and so on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from .kernel import Block, SimClock, SimulationError
@@ -184,15 +183,10 @@ class ResettableIntegrator(Block):
     input_ports = ("IN", "RES")
     output_ports = ("OUT",)
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._acc = 0.0
-
     def evaluate(self, clock: SimClock) -> None:
-        if self.read("RES") > 0.5:
-            self._acc = 0.0
-        self._acc += self.read("IN") * clock.dt
-        self.out["OUT"] = self._acc
+        out = self.out
+        acc = 0.0 if self.read("RES") > 0.5 else out["OUT"]
+        out["OUT"] = acc + self.read("IN") * clock.dt
 
 
 class IntervalTimer(Block):
@@ -224,7 +218,7 @@ class RangeScanner(Block):
     """Linear scanner stepping a control signal across a range.
 
     Configuration (minimum, maximum, step, direction, stop_on_boundary)
-    is fixed before the run.  Each STR strobe advances OUT one step from
+    is fixed and checked at construction.  Each STR strobe advances OUT one step from
     the near boundary toward the far one, clamping the final point onto
     the far boundary exactly; the strobe that lands there also raises the
     RPT level.  Strobes arriving after RPT never restart the scan: with
@@ -244,13 +238,13 @@ class RangeScanner(Block):
         self.step = float(step)
         self.direction = 1 if direction else 0
         self.stop_on_boundary = bool(stop_on_boundary)
+        _check_range(self.minimum, self.maximum, self.step)
         self._emitted = 0
-        self._boundary = False
 
     def evaluate(self, clock: SimClock) -> None:
         if self.read("STR") <= 0.5:
             return
-        if self._boundary:
+        if self.out["RPT"]:
             if self.stop_on_boundary:
                 self.request_halt()
             return
@@ -259,33 +253,24 @@ class RangeScanner(Block):
         self._emitted += 1
         self.out["OUT"] = value
         if boundary:
-            self._boundary = True
             self.out["RPT"] = 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class ReportRow:
-    """One latched report record: ordinal plus the ten channel values."""
-
-    num: int
-    values: tuple[float, ...]
 
 
 class ReportGenerator(Block):
     """Ten-channel report latch: a recorder with no outputs.
 
-    Between strobes the inputs may change freely; an STR pulse appends an
-    immutable row of the ten input channels to ``rows``, numbered from 1.
+    Between strobes the inputs may change freely; an STR pulse appends a
+    tuple of the ten input channel values to ``rows``.
     """
 
     input_ports = ("STR",) + tuple(f"IN{i}" for i in range(1, 11))
 
     def __init__(self, name: str):
         super().__init__(name)
-        self.rows: list[ReportRow] = []
+        self.rows: list[tuple[float, ...]] = []
 
     def evaluate(self, clock: SimClock) -> None:
         if self.read("STR") <= 0.5:
             return
-        values = tuple(self.read(port) for port in self.input_ports[1:])
-        self.rows.append(ReportRow(len(self.rows) + 1, values))
+        self.rows.append(tuple(self.read(port)
+                               for port in self.input_ports[1:]))

@@ -72,16 +72,6 @@ class PlantConfig:
     unit_costs: UnitCosts
 
 
-@dataclass(slots=True)
-class PlantState:
-    """Per-tick state of one plant instance.  Flow volumes are metered
-    outside the plant, by integrators on the RT, RP and PT rate outputs."""
-
-    phase: int = IDLE
-    temp: float = 0.0
-    mass_in_vessel: float = 0.0
-
-
 def wear_rate(control_k: float, config: PlantConfig) -> float:
     """Life fraction consumed per second at load level ``control_k``.
 
@@ -115,10 +105,10 @@ class BatchHeaterPlant(Block):
     * PTF - vessel drained, operation complete
 
     Level outputs carry the current flow rates (RT raw kg/s, RP energy W,
-    PT output kg/s), the batch temperature TMP, and RWM, which goes to 1
-    only when an operation had to be aborted.  Each phase pulse is also
-    logged to ``events`` as a (name, tick index) pair, the name being
-    rtb, rtf, red or ptf.
+    PT output kg/s) and the batch temperature TMP, which is the thermal
+    state itself; ``phase`` and ``mass`` (kg in the vessel) hold the rest.
+    Each phase pulse is also logged to ``events`` as a (name, tick index)
+    pair, the name being rtb, rtf, red or ptf.
 
     A fill or drain tick that would overshoot the batch volume is scaled
     to land exactly on the boundary, so integrated flow volumes equal the
@@ -126,12 +116,12 @@ class BatchHeaterPlant(Block):
     """
 
     input_ports = ("CL",)
-    output_ports = ("RTB", "RTF", "RED", "PTF", "RT", "RP", "PT", "TMP", "RWM")
+    output_ports = ("RTB", "RTF", "RED", "PTF", "RT", "RP", "PT", "TMP")
 
     def __init__(self, name: str, config: PlantConfig):
         super().__init__(name)
-        self.config = config
-        self.state = PlantState(temp=config.ambient_temp)
+        self.phase = IDLE
+        self.mass = 0.0
         self.events: list[tuple[str, int]] = []
         c = config
         self._batch = c.batch_volume
@@ -145,56 +135,53 @@ class BatchHeaterPlant(Block):
         self._p_eta = c.heater_nominal_power * c.heater_efficiency
         self._loss_at_setpoint = c.loss_coeff * (c.setpoint - c.ambient_temp)
         self._mass_eps = 1e-9 * c.batch_volume
-        self.out["TMP"] = self.state.temp
+        self.out["TMP"] = c.ambient_temp
 
     def evaluate(self, clock: SimClock) -> None:
-        state = self.state
         out = self.out
         dt = clock.dt
-        phase = state.phase
+        phase = self.phase
         rt = rp = pt = 0.0
 
         if phase == HEATING:
             k = self.read("CL")
             rp = k * self._p_nom
-            temp = state.temp
+            temp = out["TMP"]
             temp += dt * (k * self._p_eta - self._h * (temp - self._t_amb)) / self._c
-            state.temp = temp
+            out["TMP"] = temp
             if temp >= self._setpoint:
-                state.phase = RELEASING
+                self.phase = RELEASING
                 self._phase_pulse("RED", clock)
         elif phase == FILLING:
-            room = self._batch - state.mass_in_vessel
+            room = self._batch - self.mass
             rt = self._fill if room >= self._fill * dt else room / dt
-            state.mass_in_vessel += rt * dt
-            if state.mass_in_vessel >= self._batch - self._mass_eps:
-                state.mass_in_vessel = self._batch
-                state.phase = HEATING
+            self.mass += rt * dt
+            if self.mass >= self._batch - self._mass_eps:
+                self.mass = self._batch
+                self.phase = HEATING
                 self._phase_pulse("RTF", clock)
         elif phase == RELEASING:
-            mass = state.mass_in_vessel
+            mass = self.mass
             pt = self._release if mass >= self._release * dt else mass / dt
             mass -= pt * dt
             if mass <= self._mass_eps:
                 mass = 0.0
-                state.phase = IDLE
+                self.phase = IDLE
                 self._phase_pulse("PTF", clock)
-            state.mass_in_vessel = mass
+            self.mass = mass
         else:  # IDLE
             k = self.read("CL")
             if k > 0.0:
                 if k * self._p_eta <= self._loss_at_setpoint:
-                    out["RWM"] = 1.0
                     raise NeverReachesSetpoint(k, clock.tick_index)
-                state.phase = FILLING
-                state.temp = self._t_amb
-                state.mass_in_vessel = 0.0
+                self.phase = FILLING
+                out["TMP"] = self._t_amb
+                self.mass = 0.0
                 self._phase_pulse("RTB", clock)
 
         out["RT"] = rt
         out["RP"] = rp
         out["PT"] = pt
-        out["TMP"] = state.temp
 
     def _phase_pulse(self, port: str, clock: SimClock) -> None:
         """Raise a phase pulse and log it to ``events`` in one place."""

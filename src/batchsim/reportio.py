@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,7 +40,10 @@ CSV_HEADER = [name for name, _, _ in _COLUMNS]
 
 
 def _atomic_write(path: Path, content: str) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # Created with mode 0o666 so the umask sets the permissions, as for a
+    # plain open(); mkstemp would force 0o600.
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
@@ -85,11 +87,15 @@ def read_operations_csv(path) -> list[OperationRecord]:
     """Parse operations.csv back into records (round-trip support)."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(
-                f"unexpected CSV header {reader.fieldnames!r} in {path}")
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {header!r} in {path}")
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected "
+                    f"{len(CSV_HEADER)} cells, got {len(row)}")
             records.append(OperationRecord(
-                **{name: read(row[name]) for name, _, read in _COLUMNS}))
+                *(read(cell) for (_, _, read), cell in zip(_COLUMNS, row))))
     return records

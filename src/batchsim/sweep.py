@@ -235,11 +235,11 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
     """Records from the latched rows; the derived indicators are computed
     from the latched PTF-tick costs and duration."""
     records = []
-    for row in report.rows:
-        latched = row.values[:len(_REPORT_SOURCES)]
+    for num, row in enumerate(report.rows, start=1):
+        latched = row[:len(_REPORT_SOURCES)]
         _, t_op, *_, re, pe = latched
         records.append(OperationRecord(
-            row.num, *latched, *compute_indicators(re, pe, t_op)))
+            num, *latched, *compute_indicators(re, pe, t_op)))
     return records
 
 

@@ -76,15 +76,13 @@ class TestRangeScanner:
         assert outs == [0.0, 2.0, 4.0, 5.0]
         assert rpts == [0.0, 0.0, 0.0, 1.0]
 
-    def test_degenerate_range_rejected_at_first_strobe(self):
-        scanner = RangeScanner("control", 5.0, 5.0, 1.0)
+    def test_degenerate_range_rejected_at_construction(self):
         with pytest.raises(InvalidRange):
-            drive_scanner(scanner, 1)
+            RangeScanner("control", 5.0, 5.0, 1.0)
 
     def test_nonpositive_step_rejected(self):
-        scanner = RangeScanner("control", 0.0, 5.0, 0.0)
         with pytest.raises(InvalidRange):
-            drive_scanner(scanner, 1)
+            RangeScanner("control", 0.0, 5.0, 0.0)
 
     @pytest.mark.parametrize("minimum, maximum, step_size", [
         (math.nan, 5.0, 1.0), (0.0, math.nan, 1.0), (0.0, 5.0, math.nan),
@@ -96,9 +94,8 @@ class TestRangeScanner:
             enumerate_scan_values(minimum, maximum, step_size)
         with pytest.raises(InvalidRange):
             scan_value(minimum, maximum, step_size, 0, 0)
-        scanner = RangeScanner("control", minimum, maximum, step_size)
         with pytest.raises(InvalidRange):
-            drive_scanner(scanner, 1)
+            RangeScanner("control", minimum, maximum, step_size)
 
     def test_descending_overshoot_clamps_on_lower_boundary(self):
         scanner = RangeScanner("control", 0.0, 5.0, 2.0, direction=1)
@@ -164,6 +161,37 @@ class TestRangeScanner:
         n_full = math.floor(span / step_size + 1e-9 * step_size)
         divisible = abs(span / step_size - round(span / step_size)) <= 1e-9
         assert len(outs) == n_full + 1 + (0 if divisible else 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(minimum=st.floats(-50, 50, allow_nan=False),
+           span=st.floats(0.1, 30.0, allow_nan=False),
+           ratio=st.floats(0.05, 2.0, allow_nan=False),
+           direction=st.sampled_from((0, 1)),
+           stop_on_boundary=st.booleans())
+    def test_rpt_and_halt_follow_the_boundary(self, minimum, span, ratio,
+                                              direction, stop_on_boundary):
+        # RPT is the scanner's only record of reaching the boundary, so
+        # it alone must decide both the hold and the halt.
+        maximum = minimum + span
+        step_size = span * ratio
+        expected = reference_scan_sequence(minimum, maximum, step_size,
+                                           direction)
+        n = len(expected)
+        scanner = RangeScanner("control", minimum, maximum, step_size,
+                               direction=direction,
+                               stop_on_boundary=stop_on_boundary)
+        strobe = PulseTrain("strobe", start=0, period=1)
+        graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
+        clock = SimClock(dt=0.1)
+        outs, rpts, halts = [], [], []
+        for _ in range(n + 2):
+            step(graph, clock)
+            outs.append(graph.value("control.OUT"))
+            rpts.append(graph.value("control.RPT"))
+            halts.append(graph.halt_flag)
+        assert outs == expected + [expected[-1]] * 2
+        assert rpts == [0.0] * (n - 1) + [1.0] * 3
+        assert halts == [False] * n + [stop_on_boundary] * 2
 
 
 class TestIntervalTimer:
@@ -249,6 +277,27 @@ class TestResettableIntegrator:
         split = a * integrate(f) + b * integrate(g)
         assert combined == pytest.approx(split, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=50, deadline=None)
+    @given(ticks=st.lists(st.tuples(st.floats(-1e3, 1e3, allow_nan=False),
+                                    st.booleans()),
+                          min_size=1, max_size=40),
+           dt=st.floats(1e-3, 1.0, allow_nan=False))
+    def test_matches_reference_loop(self, ticks, dt):
+        ins = [x for x, _ in ticks]
+        resets = [1.0 if reset else 0.0 for _, reset in ticks]
+        graph = build_graph(
+            [SequenceSource("in", ins), SequenceSource("res", resets),
+             ResettableIntegrator("i")],
+            [("in.OUT", "i.IN"), ("res.OUT", "i.RES")])
+        clock = SimClock(dt=dt)
+        acc = 0.0
+        for x, reset in ticks:
+            step(graph, clock)
+            if reset:
+                acc = 0.0
+            acc += x * dt
+            assert graph.value("i.OUT") == acc
+
 
 class TestArithmetic:
     def _value(self, blocks, wires, probe, ticks=1):
@@ -290,8 +339,10 @@ class TestReportGenerator:
         clock = SimClock(dt=0.1)
         for _ in range(30):
             step(graph, clock)
-        assert [(r.num, r.values[0]) for r in report.rows] == [
-            (1, 1.5), (2, 2.5), (3, 3.5)]
+        # Rows are value tuples in strobe order; record numbers are their
+        # positions from 1 (pinned end to end in test_sweep).
+        assert [r[0] for r in report.rows] == [1.5, 2.5, 3.5]
+        assert all(type(r) is tuple and len(r) == 10 for r in report.rows)
 
     def test_no_strobe_no_rows(self):
         report = ReportGenerator("report")
@@ -315,7 +366,7 @@ class TestReportGenerator:
         clock = SimClock(dt=0.1)
         for _ in range(40):
             step(graph, clock)
-        assert [r.values[0] for r in report.rows] == [7.0, 20.0, 33.0]
+        assert [r[0] for r in report.rows] == [7.0, 20.0, 33.0]
 
     def test_rows_are_append_only(self):
         strobe = PulseTrain("strobe", start=0, period=5)

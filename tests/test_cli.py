@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -146,6 +147,31 @@ class TestWriteReport:
         csv_path.write_text("\n".join([header, row, *rest]) + "\n")
         with pytest.raises(ValueError):
             read_operations_csv(csv_path)
+
+    @pytest.mark.parametrize("shape", ["extra cell", "missing cells"])
+    def test_row_with_wrong_cell_count_rejected(self, small_report, tmp_path,
+                                                shape):
+        # An extra cell used to be dropped silently and a short row raised
+        # TypeError; either is refused with the offending line named.
+        csv_path, _ = write_report(small_report, tmp_path)
+        header, row, *rest = csv_path.read_text().splitlines()
+        row = row + ",1" if shape == "extra cell" else row.rsplit(",", 2)[0]
+        csv_path.write_text("\n".join([header, row, *rest]) + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_operations_csv(csv_path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_report_files_follow_umask(self, small_report, tmp_path, umask):
+        # The atomic write used to leave both files at 0600.
+        old = os.umask(umask)
+        try:
+            paths = write_report(small_report, tmp_path)
+        finally:
+            os.umask(old)
+        assert [p.stat().st_mode & 0o777 for p in paths] \
+            == [0o666 & ~umask] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted(p.name for p in paths)
 
     def test_empty_report_refused(self, small_report, tmp_path):
         report = replace(small_report, records=[])
