@@ -18,7 +18,7 @@ from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
 from .sweep import (DEFAULT_DT, ExtremumResult, InfeasibleRange,
                     NoValidRecords, SweepReport, find_extremum,
                     oracle_cost_curve, oracle_heating_time, oracle_operation,
-                    run_single, run_sweep)
+                    oracle_ticks, run_single, run_sweep)
 from .config import (ParseError, SweepConfig, ValidationError, load_config,
                      parse_config, validate_plant_config,
                      validate_sweep_config)

@@ -9,7 +9,8 @@ summary.txt; ``run-once`` simulates a single operation at one control
 level; ``validate`` makes a default-dt sweep's entry checks without
 simulating, so it refuses exactly what that sweep refuses at entry, and
 reports the feasible control floor, the predicted operation count, the
-closed-form heating times at the range endpoints and the dt limit.
+closed-form heating times and the ticks an operation steps at the range
+endpoints, and the dt limit.
 """
 
 from __future__ import annotations
@@ -95,14 +96,18 @@ def _cmd_validate(args) -> int:
     print(f"k_min_feasible: {feasible_control_range(plant_cfg):.9g}")
     print(f"predicted_operations: {len(ks)}")
     try:
-        ops, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
-                                    sweep_cfg.tick_budget, "k_min")
+        ops, ticks, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
+                                           sweep_cfg.tick_budget, "k_min")
     except (ValidationError, SimulationError) as exc:
         print(f"infeasible: {exc}")
         return 1
-    heat = {k: op["heat_time"] for k, op in zip(ks, ops)}
-    print(f"heating_time_at_k_min: {heat[sweep_cfg.k_min]:.9g}")
-    print(f"heating_time_at_k_max: {heat[sweep_cfg.k_max]:.9g}")
+    at = dict(zip(ks, zip(ops, ticks)))
+    for end in ("k_min", "k_max"):
+        op, (fill, heat, release) = at[getattr(sweep_cfg, end)]
+        print(f"heating_time_at_{end}: {op['heat_time']:.9g}")
+        # The start tick raises RTB; the phases follow it.
+        print(f"ticks_at_{end}: {1 + fill + heat + release} (fill {fill}, "
+              f"heat {heat}, release {release})")
     print(f"dt_limit: {dt_limit:.9g}")
     return 0
 

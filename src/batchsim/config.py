@@ -167,7 +167,7 @@ def validate_run_settings(criterion: str, tick_budget: int) -> None:
         raise ValidationError(
             "criterion", f"unknown name {criterion!r}; available: "
             + ", ".join(sorted(BUILTIN_CRITERIA)))
-    if not tick_budget > 0:
+    if not (isinstance(tick_budget, int) and tick_budget > 0):
         raise ValidationError("tick_budget", "must be a positive tick count")
 
 
@@ -210,5 +210,11 @@ def parse_config(text: str) -> tuple[PlantConfig, SweepConfig]:
 
 
 def load_config(path) -> tuple[PlantConfig, SweepConfig]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return parse_config(text)

@@ -165,15 +165,22 @@ def build_graph(blocks: Sequence[Block],
     ``wires`` are ``("src.PORT", "dst.PORT")`` pairs.  The evaluation
     order is a topological sort over non-delayed edges; wires into a
     ``breaks_cycle`` block impose no ordering because such blocks consume
-    their inputs after the tick, in :meth:`Block.latch`.
+    their inputs after the tick, in :meth:`Block.latch`.  A block can
+    belong to one graph only; unwired inputs read 0.
     """
     by_name: dict[str, Block] = {}
     for b in blocks:
+        if b._graph is not None:
+            raise SimulationError(
+                f"block {b.name!r} already belongs to a graph")
         if b.name in by_name:
             raise MultipleDrivers(f"duplicate block name {b.name!r}")
         by_name[b.name] = b
 
-    driven: set[tuple[str, str]] = set()
+    # Inputs are bound only once the whole wiring validates, so a refused
+    # build leaves every block as it was.
+    sources: dict[str, dict[str, tuple[dict[str, float], str]]] = {
+        name: {} for name in by_name}
     edges: dict[str, set[str]] = {b.name: set() for b in blocks}
     for src_ref, dst_ref in wires:
         src_name, src_port = _parse_endpoint(src_ref)
@@ -184,10 +191,9 @@ def build_graph(blocks: Sequence[Block],
             raise UnknownPort(f"wire source {src_ref!r} does not exist")
         if dst is None or dst_port not in dst.input_ports:
             raise UnknownPort(f"wire destination {dst_ref!r} does not exist")
-        if (dst_name, dst_port) in driven:
+        if dst_port in sources[dst_name]:
             raise MultipleDrivers(f"input {dst_ref!r} has more than one driver")
-        driven.add((dst_name, dst_port))
-        dst._sources[dst_port] = (src.out, src_port)
+        sources[dst_name][dst_port] = (src.out, src_port)
         if not dst.breaks_cycle:
             edges[src_name].add(dst_name)
 
@@ -215,6 +221,7 @@ def build_graph(blocks: Sequence[Block],
     latch_plan = [b for b in plan if type(b).latch is not Block.latch]
     graph = BlockGraph(by_name, plan, latch_plan)
     for b in plan:
+        b._sources = sources[b.name]
         b._graph = graph
     return graph
 

@@ -146,33 +146,24 @@ class BatchHeaterPlant(Block):
         if phase == HEATING:
             k = self.read("CL")
             rp = k * self._p_nom
-            temp = out["TMP"]
-            temp += dt * (k * self._p_eta - self._h * (temp - self._t_amb)) / self._c
-            out["TMP"] = temp
-            if temp >= self._setpoint:
+            out["TMP"], done = self.heat_tick(out["TMP"], k, dt)
+            if done:
                 self.phase = RELEASING
                 self._phase_pulse("RED", clock)
         elif phase == FILLING:
-            room = self._batch - self.mass
-            rt = self._fill if room >= self._fill * dt else room / dt
-            self.mass += rt * dt
-            if self.mass >= self._batch - self._mass_eps:
-                self.mass = self._batch
+            rt, self.mass, done = self.fill_tick(self.mass, dt)
+            if done:
                 self.phase = HEATING
                 self._phase_pulse("RTF", clock)
         elif phase == RELEASING:
-            mass = self.mass
-            pt = self._release if mass >= self._release * dt else mass / dt
-            mass -= pt * dt
-            if mass <= self._mass_eps:
-                mass = 0.0
+            pt, self.mass, done = self.release_tick(self.mass, dt)
+            if done:
                 self.phase = IDLE
                 self._phase_pulse("PTF", clock)
-            self.mass = mass
         else:  # IDLE
             k = self.read("CL")
             if k > 0.0:
-                if k * self._p_eta <= self._loss_at_setpoint:
+                if not self.reaches_setpoint(k):
                     raise NeverReachesSetpoint(k, clock.tick_index)
                 self.phase = FILLING
                 out["TMP"] = self._t_amb
@@ -182,6 +173,45 @@ class BatchHeaterPlant(Block):
         out["RT"] = rt
         out["RP"] = rp
         out["PT"] = pt
+
+    # The per-tick updates of the three phases.  They read only the
+    # plant's constants, so the discrete twin ``sweep.oracle_ticks``
+    # replays an operation through them without a graph.  Each returns
+    # the new state and whether the phase ended; fill and release first
+    # give the tick's flow rate, scaled down on the phase's last tick.
+
+    def fill_tick(self, mass: float, dt: float) -> tuple[float, float, bool]:
+        """Feed from ``mass`` kg in the vessel; the tick that fills it
+        lands exactly on the batch volume."""
+        room = self._batch - mass
+        rt = self._fill if room >= self._fill * dt else room / dt
+        mass += rt * dt
+        if mass >= self._batch - self._mass_eps:
+            return rt, self._batch, True
+        return rt, mass, False
+
+    def heat_tick(self, temp: float, control_k: float,
+                  dt: float) -> tuple[float, bool]:
+        """Explicit-Euler step of the batch temperature at load level
+        ``control_k``; the phase ends at the setpoint."""
+        temp += dt * (control_k * self._p_eta
+                      - self._h * (temp - self._t_amb)) / self._c
+        return temp, temp >= self._setpoint
+
+    def release_tick(self, mass: float,
+                     dt: float) -> tuple[float, float, bool]:
+        """Drain from ``mass`` kg; the tick that empties the vessel lands
+        exactly on zero."""
+        pt = self._release if mass >= self._release * dt else mass / dt
+        mass -= pt * dt
+        if mass <= self._mass_eps:
+            return pt, 0.0, True
+        return pt, mass, False
+
+    def reaches_setpoint(self, control_k: float) -> bool:
+        """Whether load ``control_k`` delivers more than the losses at the
+        setpoint, so heating ends."""
+        return control_k * self._p_eta > self._loss_at_setpoint
 
     def _phase_pulse(self, port: str, clock: SimClock) -> None:
         """Raise a phase pulse and log it to ``events`` in one place."""

@@ -8,12 +8,15 @@ Closed-form twins of the simulated quantities live here too: heating
 time from the linear loss model and per-operation flow volumes.  They
 never touch the tick engine, which makes them usable as independent
 checks on the simulated results and as a cheap dense scan when
-bracketing an extremum.
+bracketing an extremum.  The discrete twin ``oracle_ticks`` replays the
+plant's per-tick updates instead, and so gives each phase's exact tick
+count, which the entry check holds the tick budget to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import inf, log1p
 
 from . import econ
@@ -31,10 +34,6 @@ from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
                     feasible_control_range, wear_rate)
 
 DEFAULT_DT = 0.1
-
-# Operations run 0.47-1.73 ticks past t_op/dt on the reference plant (dt
-# 0.1, 0.5, 1.0): a budget this far below t_op/dt cannot finish one.
-BUDGET_SLACK_TICKS = 4
 
 # Sources of report IN1..IN8 in OperationRecord field order; IN9, IN10 read 0.
 _REPORT_SOURCES = ("control.OUT", "op_timer.TIM", "rtv_int.OUT",
@@ -110,6 +109,44 @@ def oracle_operation(config: PlantConfig, control_k: float) -> dict[str, float]:
         "ptv": config.batch_volume,
         "rwv": rwv,
     }
+
+
+def oracle_ticks(config: PlantConfig, control_k: float, dt: float,
+                 limit: int | None = None) -> tuple[int, int, int] | None:
+    """Fill, heat and release tick counts of one operation at
+    ``control_k``, by replaying the plant's own per-tick updates, so they
+    equal a run's counts exactly.  (A ceil of the closed forms can be a
+    tick short: the simulated temperature accumulates rounding.)  The
+    replay counts at most ``limit`` ticks: a longer operation gives None.
+    """
+    plant = BatchHeaterPlant("twin", config)
+    if not plant.reaches_setpoint(control_k):
+        raise InfeasibleRange(
+            f"control {control_k:g} never heats the batch to the setpoint")
+    # One counter across the phases: each loop leaves it at the number
+    # of operation ticks so far.
+    ticks = islice(count(1), limit)
+    mass = 0.0
+    for fill in ticks:
+        _, mass, done = plant.fill_tick(mass, dt)
+        if done:
+            break
+    else:
+        return None
+    temp = config.ambient_temp
+    for heat in ticks:
+        temp, done = plant.heat_tick(temp, control_k, dt)
+        if done:
+            break
+    else:
+        return None
+    for release in ticks:
+        _, mass, done = plant.release_tick(mass, dt)
+        if done:
+            break
+    else:
+        return None
+    return fill, heat - fill, release - heat
 
 
 def oracle_cost_curve(config: PlantConfig,
@@ -244,12 +281,15 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
 
 
 def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
-                tick_budget: int, control_field: str) -> tuple[list, float]:
+                tick_budget: int,
+                control_field: str) -> tuple[list, list, float]:
     """Entry checks of every run over its controls ``ks``: a valid plant,
     controls above the feasible floor (a refusal names ``control_field``),
     a finite dt no coarser than a tenth of the shortest phase, and a tick
-    budget that can finish each operation, in scan order.  Returns each
-    control's ``oracle_operation`` and the dt limit.
+    budget that finishes each operation, in scan order.  An operation
+    steps one start tick, which raises RTB, then its ``oracle_ticks``, so
+    it needs a budget of their sum plus one.  Returns each control's
+    ``oracle_operation`` and ``oracle_ticks``, and the dt limit.
 
     The feasibility margin caps heating at about 3.04*C/h, so the dt
     limit also keeps dt below the explicit-Euler stability bound 2*C/h.
@@ -270,13 +310,16 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
         raise ValidationError(
             "dt", f"must be at most {limit:g} s, a tenth of the shortest "
             f"phase, got {dt:g}")
-    for k, op in zip(ks, ops):
-        ticks = op["t_op"] / dt
-        if tick_budget < ticks - BUDGET_SLACK_TICKS:
+    ticks = []
+    for k in ks:
+        counts = oracle_ticks(plant_cfg, k, dt, tick_budget - 1)
+        if counts is None:
             raise TickBudgetExceeded(
                 0, f"tick_budget {tick_budget} cannot finish the operation at "
-                f"control {k:g}, predicted to take {ticks:.0f} ticks", k)
-    return ops, limit
+                f"control {k:g}, which steps more than {tick_budget} ticks",
+                k)
+        ticks.append(counts)
+    return ops, ticks, limit
 
 
 def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
@@ -287,17 +330,11 @@ def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
     from the plant's log."""
     report: ReportGenerator = graph.block("report")
     clock = SimClock(dt)
-    try:
-        for n, k in enumerate(ks, start=1):
-            run_until(graph, clock, lambda g, c, n=n: len(report.rows) >= n,
-                      tick_budget=tick_budget)
-        if until_halt:
-            run_until(graph, clock, lambda g, c: False,
-                      tick_budget=tick_budget)
-    except TickBudgetExceeded as exc:
-        raise TickBudgetExceeded(
-            exc.tick, f"{exc} (operation at control {k:g} unfinished)",
-            k) from None
+    for n in range(1, len(ks) + 1):
+        run_until(graph, clock, lambda g, c, n=n: len(report.rows) >= n,
+                  tick_budget=tick_budget)
+    if until_halt:
+        run_until(graph, clock, lambda g, c: False, tick_budget=tick_budget)
     if len(report.rows) != len(ks):
         raise SimulationError(
             f"run stopped with {len(report.rows)} of {len(ks)} operations")

@@ -14,7 +14,8 @@ from dataclasses import replace
 
 from batchsim import (FlowVolumes, PulseTrain, RangeScanner, SimClock,
                       UnitCosts, aggregate_costs, build_graph,
-                      oracle_cost_curve, oracle_heating_time, run_single,
+                      enumerate_scan_values, oracle_cost_curve,
+                      oracle_heating_time, oracle_ticks, run_single,
                       run_sweep, step, wear_rate, write_report)
 
 from conftest import (make_reference_plant, make_reference_sweep,
@@ -103,9 +104,9 @@ def test_criterion_3_interior_cost_minimum(reference_plant, reference_sweep):
 
 
 def test_criterion_4_thermal_oracle_and_convergence(reference_plant,
-                                                    reference_sweep):
-    def heating_errors(dt):
-        report = run_sweep(reference_plant, reference_sweep, dt=dt)
+                                                    reference_sweep,
+                                                    coarse_report):
+    def heating_errors(report):
         errors = []
         for rec, pulses in zip(report.records, operation_pulses(report)):
             simulated = pulses["red"] - pulses["rtf"]
@@ -113,8 +114,9 @@ def test_criterion_4_thermal_oracle_and_convergence(reference_plant,
             errors.append(abs(simulated - expected) / expected)
         return errors
 
-    coarse_errors = heating_errors(0.1)
-    fine_errors = heating_errors(0.05)
+    coarse_errors = heating_errors(coarse_report)
+    fine_errors = heating_errors(
+        run_sweep(reference_plant, reference_sweep, dt=0.05))
     within_band = max(coarse_errors) <= 0.005
     mean_coarse = sum(coarse_errors) / len(coarse_errors)
     mean_fine = sum(fine_errors) / len(fine_errors)
@@ -269,3 +271,37 @@ def test_pulse_streams_match_golden_digests(coarse_report, reference_plant):
                "single_0.7": run_single(reference_plant, 0.7)}
     assert {name: hashlib.sha256(repr(r.pulse_events).encode()).hexdigest()
             for name, r in reports.items()} == GOLDEN_PULSE_DIGESTS
+
+
+def _twin_pulse_events(plant, ks, dt, stray_start):
+    """The pulse stream of one operation per control in ``ks`` derived
+    from ``oracle_ticks`` alone: each operation's start tick raises rtb,
+    its phases end on rtf, red and ptf, and the next operation starts on
+    the tick after ptf.  ``stray_start`` adds the rtb of a sweep's
+    halting tick."""
+    events, tick = [], 0
+    for k in ks:
+        fill, heat, release = oracle_ticks(plant, k, dt)
+        for channel, ticks in (("rtb", 0), ("rtf", fill), ("red", heat),
+                               ("ptf", release)):
+            tick += ticks
+            events.append((channel, tick * dt))
+        tick += 1
+    if stray_start:
+        events.append(("rtb", tick * dt))
+    return events
+
+
+def test_discrete_twin_reproduces_golden_pulse_streams(reference_plant,
+                                                       reference_sweep):
+    sweep = reference_sweep
+    streams = {
+        "sweep": _twin_pulse_events(
+            reference_plant,
+            enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
+                                  sweep.direction_code()),
+            0.1, stray_start=True),
+        "single_0.7": _twin_pulse_events(reference_plant, [0.7], 0.1,
+                                         stray_start=False)}
+    assert {name: hashlib.sha256(repr(events).encode()).hexdigest()
+            for name, events in streams.items()} == GOLDEN_PULSE_DIGESTS

@@ -197,6 +197,10 @@ class TestCli:
         assert "k_min_feasible: 0.525" in out
         assert "predicted_operations: 13" in out
         assert "heating_time_at_k_min:" in out
+        assert ("ticks_at_k_min: 39676 (fill 100, heat 39475, release 100)"
+                in out)
+        assert ("ticks_at_k_max: 4218 (fill 100, heat 4017, release 100)"
+                in out)
         assert "dt_limit: 1\n" in out
 
     def test_validate_infeasible_names_endpoint(self, tmp_path, capsys):
@@ -290,3 +294,13 @@ class TestCli:
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"[plant]\nbatch_volume = 10\xff\n")
+        rc = main(["validate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert f"{cfg}: not valid UTF-8 at byte 25" in err
+        assert "Traceback" not in err

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from batchsim import (AlgebraicLoop, Block, Constant, Multiplier,
                       MultipleDrivers, NumericFault, PulseTrain,
-                      ResettableIntegrator, SimClock, Summator,
-                      TickBudgetExceeded, UnitDelay, UnknownPort,
+                      ResettableIntegrator, SimClock, SimulationError,
+                      Summator, TickBudgetExceeded, UnitDelay, UnknownPort,
                       build_graph, run_until, step)
 
 
@@ -250,3 +250,19 @@ def test_identical_runs_are_bit_identical():
         return trace
 
     assert one_run() == one_run()
+
+
+def test_rebuild_leaves_no_stale_wiring():
+    # A block already in a graph is refused by name.
+    m = Multiplier("m")
+    build_graph([Constant("c", 3.0), m], [("c.OUT", "m.IN1"),
+                                          ("c.OUT", "m.IN2")])
+    with pytest.raises(SimulationError, match="'m' already belongs"):
+        build_graph([m], [])
+    # A refused build binds no inputs: the retry sees only its own wires.
+    a, b, s = Constant("a", 2.0), Constant("b", 5.0), Summator("s", n_inputs=2)
+    with pytest.raises(MultipleDrivers):
+        build_graph([a, b, s], [("a.OUT", "s.IN1"), ("b.OUT", "s.IN1")])
+    graph = build_graph([a, b, s], [("b.OUT", "s.IN2")])
+    step(graph, SimClock(dt=0.1))
+    assert graph.value("s.OUT") == 5.0

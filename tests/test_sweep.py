@@ -8,14 +8,15 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchsim import (BUILTIN_CRITERIA, Criterion, InfeasibleRange,
                       NoValidRecords, OperationRecord, SweepConfig,
                       TickBudgetExceeded, ValidationError,
                       enumerate_scan_values, feasible_control_range,
                       find_extremum, oracle_heating_time, oracle_operation,
-                      run_single, run_sweep, sweep as sweep_module)
+                      oracle_ticks, run_single, run_sweep,
+                      sweep as sweep_module)
 
 from conftest import make_reference_plant, operation_pulses
 
@@ -26,6 +27,7 @@ BAD_DTS = [math.nan, math.inf, 0.0, -1.0, 1.01]
 BAD_SINGLE_ARGS = [({"control_k": math.nan}, "control_k"),
                    ({"control_k": math.inf}, "control_k"),
                    ({"tick_budget": 0}, "tick_budget"),
+                   ({"tick_budget": 1000.5}, "tick_budget"),
                    ({"criterion": "bogus"}, "criterion")]
 
 # PlantConfig attribute -> the field name a ValidationError carries.
@@ -40,10 +42,72 @@ def _refuse_graph(*args):
     raise AssertionError("a graph was built for a run refused at entry")
 
 
-def _ticks_taken(report):
-    """Ticks a run stepped: it starts at tick 0 and its last step raises
-    the last phase pulse."""
-    return round(report.pulse_events[-1][1] / report.dt) + 1
+def _budget_needed(plant, k, dt):
+    """Ticks one operation steps: its start tick, then the twin's fill,
+    heat and release ticks."""
+    return 1 + sum(oracle_ticks(plant, k, dt))
+
+
+def _phase_ticks(report):
+    """Fill, heat and release ticks of a one-operation report, read off
+    its pulse stream."""
+    tick = {channel: round(t / report.dt)
+            for channel, t in report.pulse_events}
+    return (tick["rtf"] - tick["rtb"], tick["red"] - tick["rtf"],
+            tick["ptf"] - tick["red"])
+
+
+# A round plant (h = 0, eta = 1, whole-number parameters) on which the
+# closed-form tick count ceil(heat_time / dt) = 1000 is one short: the
+# simulated temperature accumulates rounding and needs 1001 ticks.
+ROUND_PLANT = replace(make_reference_plant(), heat_capacity=1000.0,
+                      heater_nominal_power=1000.0, heater_efficiency=1.0,
+                      loss_coeff=0.0)
+
+
+def _maybe_whole(draw, low, high):
+    """A float in [low, high], half the time a whole number."""
+    if draw(st.booleans()):
+        return float(draw(st.integers(math.ceil(low), math.floor(high))))
+    return draw(st.floats(low, high))
+
+
+@st.composite
+def twin_cases(draw):
+    """A random feasible plant, a control at least 1.2x its floor and a
+    dt up to the entry check's limit.  Round plants are frequent: h = 0,
+    eta = 1, whole-number parameters and controls, and dt 0.1.  Heating
+    lasts 0.5 to 4 fills, so a case runs at most about 1,400 ticks."""
+    fill_rate = _maybe_whole(draw, 1.0, 5.0)
+    fill_s = _maybe_whole(draw, 5.0, 20.0)
+    release_ratio = draw(st.sampled_from([0.5, 1.0, 2.0])
+                         | st.floats(0.5, 2.0))
+    ambient = _maybe_whole(draw, -10.0, 30.0)
+    delta = _maybe_whole(draw, 10.0, 80.0)
+    plant = replace(
+        make_reference_plant(), batch_volume=fill_rate * fill_s,
+        fill_rate=fill_rate, release_intensity=fill_rate / release_ratio,
+        ambient_temp=ambient, setpoint=ambient + delta,
+        heater_nominal_power=_maybe_whole(draw, 500.0, 5000.0),
+        heater_efficiency=draw(st.just(1.0) | st.floats(0.5, 1.0)),
+        loss_coeff=draw(st.just(0.0) | st.integers(1, 20).map(float)
+                        | st.floats(0.1, 20.0)))
+    floor = feasible_control_range(plant)
+    k = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 3.0))
+    k = max(k, math.ceil(floor * 2.4) / 2)
+    # Heating time is linear in the heat capacity.
+    per_capacity = oracle_heating_time(replace(plant, heat_capacity=1.0), k)
+    capacity = fill_s * draw(st.floats(0.5, 4.0)) / per_capacity
+    if draw(st.booleans()):
+        capacity = float(max(1, round(capacity)))
+    plant = replace(plant, heat_capacity=capacity)
+    # The entry check's dt limit, computed as it computes it.
+    limit = min(plant.batch_volume / plant.fill_rate,
+                plant.batch_volume / plant.release_intensity,
+                oracle_heating_time(plant, k)) / 10.0
+    dt = min(limit, draw(st.sampled_from([0.1, limit])
+                         | st.floats(0.25 * limit, limit)))
+    return plant, k, dt
 
 
 @st.composite
@@ -258,7 +322,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("budget", [500, 39_000])
     def test_insufficient_budget_refused_before_any_tick(
             self, reference_plant, reference_sweep, monkeypatch, budget):
-        # Control 0.6 is predicted to take 39,675 ticks.
+        # An operation at control 0.6 steps 39,676 ticks.
         monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
         with pytest.raises(TickBudgetExceeded) as excinfo:
             run_sweep(reference_plant,
@@ -266,20 +330,19 @@ class TestRunSweep:
         assert excinfo.value.control_k == pytest.approx(0.6)
         assert excinfo.value.tick == 0
         assert "exhausted" not in str(excinfo.value)
-        assert "39675 ticks" in str(excinfo.value)
+        assert f"steps more than {budget} ticks" in str(excinfo.value)
 
     def test_tick_budget_caps_each_operation(self, reference_plant,
-                                             reference_sweep, coarse_report):
-        # The longest operation (control 0.6) takes 39,675 ticks, the
-        # whole sweep about 146k: a 40,000 budget completes every
-        # operation on both paths, and 39,000 stops at the first.
-        sweep = replace(reference_sweep, tick_budget=40_000)
-        assert run_sweep(reference_plant, sweep).records == \
-            coarse_report.records
+                                             reference_sweep):
+        # The longest operation (control 0.6) steps 39,676 ticks, the
+        # whole sweep about 146k.  A sweep at exactly that budget is
+        # checked in TestRunSingle; here a 40,000 budget completes a
+        # single run, and 39,000 stops the sweep at its first operation.
         single = run_single(reference_plant, 0.8, tick_budget=40_000)
         assert len(single.records) == 1
         with pytest.raises(TickBudgetExceeded) as excinfo:
-            run_sweep(reference_plant, replace(sweep, tick_budget=39_000))
+            run_sweep(reference_plant,
+                      replace(reference_sweep, tick_budget=39_000))
         assert excinfo.value.control_k == pytest.approx(0.6)
 
     def test_repeat_run_bit_identical(self, reference_plant, reference_sweep,
@@ -324,7 +387,7 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("kwargs, field", BAD_SINGLE_ARGS,
                              ids=["nan_control", "inf_control", "zero_budget",
-                                  "unknown_criterion"])
+                                  "fractional_budget", "unknown_criterion"])
     def test_bad_argument_rejected_at_entry(self, reference_plant,
                                             monkeypatch, kwargs, field):
         monkeypatch.setattr(sweep_module, "build_single_graph",
@@ -334,16 +397,34 @@ class TestRunSingle:
             run_single(reference_plant, **args)
         assert excinfo.value.field == field
 
-    def test_budget_accepted_at_entry_still_caps_the_run(self,
-                                                         reference_plant):
-        # Within the entry check's slack below t_op/dt, the budget is left
-        # to the run, which stops at it and names the control.
-        predicted = oracle_operation(reference_plant, 3.0)["t_op"] / 0.1
-        budget = math.ceil(predicted - sweep_module.BUDGET_SLACK_TICKS)
-        with pytest.raises(TickBudgetExceeded) as excinfo:
-            run_single(reference_plant, 3.0, tick_budget=budget)
-        assert excinfo.value.control_k == 3.0
-        assert excinfo.value.tick > 0
+    def test_budget_of_predicted_need_passes_and_one_less_is_refused(
+            self, reference_plant, reference_sweep, coarse_report,
+            monkeypatch):
+        # The sweep's longest operation is at control 0.6; the single run
+        # takes control 1.0.  A budget caps each operation, not the run.
+        sweep_need = _budget_needed(reference_plant, 0.6, 0.1)
+        single_need = _budget_needed(reference_plant, 1.0, 0.1)
+        assert (sweep_need, single_need) == (39_676, 15_472)
+        sweep = replace(reference_sweep, tick_budget=sweep_need)
+        assert run_sweep(reference_plant, sweep).records == \
+            coarse_report.records
+        assert run_single(reference_plant, 1.0,
+                          tick_budget=single_need).records[0].valid
+
+        monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        monkeypatch.setattr(sweep_module, "build_single_graph",
+                            _refuse_graph)
+        refused = [
+            (lambda: run_sweep(reference_plant,
+                               replace(sweep, tick_budget=sweep_need - 1)),
+             0.6),
+            (lambda: run_single(reference_plant, 1.0,
+                                tick_budget=single_need - 1), 1.0)]
+        for run, k in refused:
+            with pytest.raises(TickBudgetExceeded) as excinfo:
+                run()
+            assert excinfo.value.tick == 0
+            assert excinfo.value.control_k == pytest.approx(k)
 
     def test_custom_criterion_threading(self, reference_plant):
         report = run_single(reference_plant, 1.0, criterion="value_added")
@@ -391,5 +472,34 @@ class TestRandomFeasiblePlants:
                                   sweep.k_step)[index]
         report = run_single(plant, k, dt=dt)
         again = run_single(plant, k, dt=dt,
-                           tick_budget=_ticks_taken(report))
+                           tick_budget=_budget_needed(plant, k, dt))
         assert again.records == report.records
+
+
+class TestOracleTicks:
+    """The discrete twin against the simulation, tick for tick."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(twin_cases())
+    @example((ROUND_PLANT, 0.5, 0.1))
+    def test_twin_equals_simulated_ticks(self, case):
+        plant, k, dt = case
+        report = run_single(plant, k, dt=dt)
+        twin = oracle_ticks(plant, k, dt)
+        assert _phase_ticks(report) == twin
+        assert report.records[0].t_op == sum(twin) * dt
+
+    def test_round_plant_is_where_the_closed_form_falls_short(self):
+        heat_s = oracle_heating_time(ROUND_PLANT, 0.5)
+        assert math.ceil(heat_s / 0.1) == 1000
+        assert oracle_ticks(ROUND_PLANT, 0.5, 0.1) == (100, 1001, 100)
+
+    def test_replay_stops_at_the_limit(self, reference_plant):
+        need = _budget_needed(reference_plant, 1.0, 0.1)
+        assert oracle_ticks(reference_plant, 1.0, 0.1, need - 1) is not None
+        assert oracle_ticks(reference_plant, 1.0, 0.1, need - 2) is None
+        assert oracle_ticks(reference_plant, 1.0, 0.1, 0) is None
+
+    def test_infeasible_control_refused(self, reference_plant):
+        with pytest.raises(InfeasibleRange):
+            oracle_ticks(reference_plant, 0.5, 0.1)
