@@ -2,13 +2,12 @@
 operations with techno-economic sweep analysis."""
 
 from .kernel import (AlgebraicLoop, Block, BlockGraph, MultipleDrivers,
-                     NumericFault, SimClock, SimulationError,
-                     TickBudgetExceeded, UnknownPort, build_graph, run_until,
-                     step)
+                     NumericFault, SimClock, SimulationError, UnknownPort,
+                     build_graph, step)
 from .blocks import (Constant, IntervalTimer, InvalidRange, Multiplier,
                      PulseTrain, RangeScanner, ReportGenerator,
-                     ResettableIntegrator, SequenceSource, Summator,
-                     UnitDelay, enumerate_scan_values, scan_value)
+                     ResettableIntegrator, Summator, UnitDelay,
+                     enumerate_scan_values, scan_value)
 from .plant import (BatchHeaterPlant, FEASIBILITY_MARGIN,
                     NeverReachesSetpoint, PlantConfig, UnitCosts,
                     WearRateGenerator, feasible_control_range, wear_rate)
@@ -16,9 +15,9 @@ from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
                    OperationEvaluator, OperationRecord, aggregate_costs,
                    compute_indicators)
 from .sweep import (DEFAULT_DT, ExtremumResult, InfeasibleRange,
-                    NoValidRecords, SweepReport, find_extremum,
-                    oracle_cost_curve, oracle_heating_time, oracle_operation,
-                    oracle_ticks, run_single, run_sweep)
+                    NoValidRecords, SweepReport, TickBudgetExceeded,
+                    find_extremum, oracle_cost_curve, oracle_heating_time,
+                    oracle_operation, oracle_ticks, run_single, run_sweep)
 from .config import (ParseError, SweepConfig, ValidationError, load_config,
                      parse_config, validate_plant_config,
                      validate_sweep_config)

@@ -84,45 +84,13 @@ class Constant(Block):
 
 
 class PulseTrain(Block):
-    """Pulse source firing at ``start`` and then every ``period`` ticks.
-
-    ``period=None`` gives a single pulse, handy for kicking off a run.
-    """
+    """Pulse source firing once, on tick 0, to kick off a run."""
 
     output_ports = ("OUT",)
 
-    def __init__(self, name: str, start: int = 0, period: int | None = None):
-        super().__init__(name)
-        self.start = start
-        self.period = period
-
     def evaluate(self, clock: SimClock) -> None:
-        k = clock.tick_index
-        if k < self.start:
-            return
-        if self.period is None:
-            if k == self.start:
-                self.pulse("OUT")
-        elif (k - self.start) % self.period == 0:
+        if clock.tick_index == 0:
             self.pulse("OUT")
-
-
-class SequenceSource(Block):
-    """Level source replaying a precomputed list of values, one per tick,
-    then holding the last one."""
-
-    output_ports = ("OUT",)
-
-    def __init__(self, name: str, values: list[float]):
-        super().__init__(name)
-        self.values = list(values)
-
-    def evaluate(self, clock: SimClock) -> None:
-        k = clock.tick_index
-        if k < len(self.values):
-            self.out["OUT"] = self.values[k]
-        elif self.values:
-            self.out["OUT"] = self.values[-1]
 
 
 class UnitDelay(Block):

@@ -179,6 +179,10 @@ def parse_config(text: str) -> tuple[PlantConfig, SweepConfig]:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from None
 
+    # configparser folds [DEFAULT] keys into every section; refuse them
+    # here, so no section is blamed for them.
+    if parser.defaults():
+        raise ValidationError(parser.default_section, "unknown section")
     values: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _SCHEMA:

@@ -13,13 +13,17 @@ Two kinds of signal travel over the same wires:
 * level - holds its value until the producing block rewrites it.
 * pulse - set to 1.0 for exactly one tick, then cleared by the engine
   before the next tick's evaluations.
+
+:func:`step` advances a built graph by one tick and is the engine's one
+entry.  How many ticks make a run is the caller's to know: the sweep
+fixes each operation's length before its first tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class SimulationError(Exception):
@@ -46,17 +50,6 @@ class NumericFault(SimulationError):
         self.block = block
         self.port = port
         self.tick = tick
-
-
-class TickBudgetExceeded(SimulationError):
-    """The run used up its tick budget, or was refused because it would.
-    ``control_k`` names the unfinished operation's control when known."""
-
-    def __init__(self, tick: int, message: str = "",
-                 control_k: float | None = None):
-        super().__init__(message or f"tick budget exhausted at tick {tick}")
-        self.tick = tick
-        self.control_k = control_k
 
 
 @dataclass(slots=True)
@@ -143,7 +136,7 @@ class BlockGraph:
         return self._blocks[name]
 
     def value(self, ref: str) -> float:
-        """Read ``"block.PORT"`` as a float, for predicates and probes."""
+        """Read ``"block.PORT"`` as a float, for probes."""
         name, _, port = ref.partition(".")
         return self._blocks[name].out[port]
 
@@ -261,27 +254,3 @@ def _raise_numeric_fault(graph: BlockGraph, clock: SimClock) -> None:
             if not isfinite(v):
                 raise NumericFault(b.name, port, clock.tick_index)
     raise AssertionError("finite screen tripped without a non-finite port")
-
-
-StopPredicate = Callable[[BlockGraph, SimClock], bool]
-
-
-def run_until(graph: BlockGraph, clock: SimClock, predicate: StopPredicate,
-              tick_budget: int) -> SimClock:
-    """Step until ``predicate`` is true, a block halts the system, or the
-    tick budget runs out (which raises :class:`TickBudgetExceeded`).
-
-    ``predicate`` must be a pure function of port values, block state
-    and the clock.
-    """
-    if predicate(graph, clock):
-        return clock
-    steps = 0
-    while not graph.halt_flag:
-        if steps >= tick_budget:
-            raise TickBudgetExceeded(clock.tick_index)
-        step(graph, clock)
-        steps += 1
-        if predicate(graph, clock):
-            break
-    return clock

@@ -10,7 +10,8 @@ never touch the tick engine, which makes them usable as independent
 checks on the simulated results and as a cheap dense scan when
 bracketing an extremum.  The discrete twin ``oracle_ticks`` replays the
 plant's per-tick updates instead, and so gives each phase's exact tick
-count, which the entry check holds the tick budget to.
+count: the entry check holds the tick budget to it, and a run steps each
+operation for exactly that many ticks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from math import inf, log1p
 
-from . import econ
+from . import econ, kernel
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
                      RangeScanner, ReportGenerator, ResettableIntegrator,
                      Summator, UnitDelay, enumerate_scan_values)
@@ -28,8 +29,7 @@ from .config import (DEFAULT_CRITERION, DEFAULT_TICK_BUDGET, SweepConfig,
                      validate_run_settings, validate_sweep_config)
 from .econ import (BUILTIN_CRITERIA, Criterion, OperationRecord,
                    compute_indicators)
-from .kernel import (BlockGraph, SimClock, SimulationError,
-                     TickBudgetExceeded, build_graph, run_until)
+from .kernel import BlockGraph, SimClock, SimulationError, build_graph
 from .plant import (BatchHeaterPlant, PlantConfig, WearRateGenerator,
                     feasible_control_range, wear_rate)
 
@@ -47,6 +47,18 @@ class InfeasibleRange(SimulationError):
 
 class NoValidRecords(SimulationError):
     """Extremum requested over a record set with no valid entries."""
+
+
+class TickBudgetExceeded(SimulationError):
+    """A run was refused before its first tick because an operation
+    steps more ticks than the tick budget.  ``control_k`` names that
+    operation's control when known."""
+
+    def __init__(self, tick: int, message: str = "",
+                 control_k: float | None = None):
+        super().__init__(message or f"tick budget exhausted at tick {tick}")
+        self.tick = tick
+        self.control_k = control_k
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,8 +320,8 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
                 *(op["heat_time"] for op in ops)) / 10.0
     if dt > limit:
         raise ValidationError(
-            "dt", f"must be at most {limit:g} s, a tenth of the shortest "
-            f"phase, got {dt:g}")
+            "dt", f"must be at most {limit!r} s, a tenth of the shortest "
+            f"phase, got {dt!r}")
     ticks = []
     for k in ks:
         counts = oracle_ticks(plant_cfg, k, dt, tick_budget - 1)
@@ -322,25 +334,33 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
     return ops, ticks, limit
 
 
-def _run(graph: BlockGraph, ks: list[float], dt: float, tick_budget: int,
-         criterion: Criterion, until_halt: bool) -> SweepReport:
-    """Run one operation per control in ``ks``, each within
-    ``tick_budget`` ticks; with ``until_halt``, step on until a block
-    halts the graph.  Records come from the report latch, pulse events
-    from the plant's log."""
-    report: ReportGenerator = graph.block("report")
+def _run(graph: BlockGraph, ks: list[float],
+         ticks: list[tuple[int, int, int]], dt: float, criterion: Criterion,
+         until_halt: bool) -> SweepReport:
+    """Run one operation per control in ``ks`` for the ticks
+    ``check_entry`` predicts: a start tick, which raises RTB, then its
+    ``oracle_ticks``.  An operation must end on its last tick with PTF;
+    with ``until_halt``, the tick after the last one must halt the graph.
+    Records come from the report latch, pulse events from the plant's
+    log."""
+    plant: BatchHeaterPlant = graph.block("plant")
     clock = SimClock(dt)
-    for n in range(1, len(ks) + 1):
-        run_until(graph, clock, lambda g, c, n=n: len(report.rows) >= n,
-                  tick_budget=tick_budget)
+    for n, (k, counts) in enumerate(zip(ks, ticks), start=1):
+        for _ in range(1 + sum(counts)):
+            kernel.step(graph, clock)
+        end = clock.tick_index - 1
+        if plant.events[-1] != ("ptf", end):
+            raise SimulationError(
+                f"operation {n} at control {k:g} did not end on its "
+                f"predicted tick {end}")
     if until_halt:
-        run_until(graph, clock, lambda g, c: False, tick_budget=tick_budget)
-    if len(report.rows) != len(ks):
-        raise SimulationError(
-            f"run stopped with {len(report.rows)} of {len(ks)} operations")
-    records = _assemble_records(report)
-    pulse_events = [(channel, tick * dt)
-                    for channel, tick in graph.block("plant").events]
+        kernel.step(graph, clock)
+        if not graph.halt_flag:
+            raise SimulationError(
+                f"the graph did not halt at tick {clock.tick_index - 1}, "
+                f"after its last operation")
+    records = _assemble_records(graph.block("report"))
+    pulse_events = [(channel, tick * dt) for channel, tick in plant.events]
     return SweepReport(records, criterion.name,
                        find_extremum(records, criterion), pulse_events, dt)
 
@@ -352,10 +372,9 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
     validate_sweep_config(sweep)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
-    check_entry(plant_cfg, ks, dt, sweep.tick_budget, "k_min")
-    return _run(build_sweep_graph(plant_cfg, sweep), ks, dt,
-                sweep.tick_budget, BUILTIN_CRITERIA[sweep.criterion],
-                sweep.stop_on_boundary)
+    _, ticks, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget, "k_min")
+    return _run(build_sweep_graph(plant_cfg, sweep), ks, ticks, dt,
+                BUILTIN_CRITERIA[sweep.criterion], sweep.stop_on_boundary)
 
 
 def run_single(plant_cfg: PlantConfig, control_k: float,
@@ -365,6 +384,7 @@ def run_single(plant_cfg: PlantConfig, control_k: float,
     packaged as a one-record report."""
     _require_positive("control_k", control_k)
     validate_run_settings(criterion, tick_budget)
-    check_entry(plant_cfg, [control_k], dt, tick_budget, "control_k")
-    return _run(build_single_graph(plant_cfg, control_k), [control_k], dt,
-                tick_budget, BUILTIN_CRITERIA[criterion], False)
+    _, ticks, _ = check_entry(plant_cfg, [control_k], dt, tick_budget,
+                              "control_k")
+    return _run(build_single_graph(plant_cfg, control_k), [control_k], ticks,
+                dt, BUILTIN_CRITERIA[criterion], False)

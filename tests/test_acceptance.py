@@ -12,14 +12,14 @@ import random
 import time
 from dataclasses import replace
 
-from batchsim import (FlowVolumes, PulseTrain, RangeScanner, SimClock,
-                      UnitCosts, aggregate_costs, build_graph,
-                      enumerate_scan_values, oracle_cost_curve,
-                      oracle_heating_time, oracle_ticks, run_single,
-                      run_sweep, step, wear_rate, write_report)
+from batchsim import (FlowVolumes, RangeScanner, SimClock, UnitCosts,
+                      aggregate_costs, build_graph, enumerate_scan_values,
+                      oracle_cost_curve, oracle_heating_time, oracle_ticks,
+                      run_single, run_sweep, step, wear_rate, write_report)
 
 from conftest import (make_reference_plant, make_reference_sweep,
                       operation_pulses)
+from test_kernel import PulseEvery
 
 # sha256 of the reference sweep's report files at dt=0.1.
 GOLDEN_DIGESTS = {
@@ -191,7 +191,7 @@ def test_criterion_7_scanner_protocol():
 
         scanner = RangeScanner("control", minimum, maximum, step_size,
                                direction=direction, stop_on_boundary=True)
-        strobe = PulseTrain("strobe", start=0, period=1)
+        strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner],
                             [("strobe.OUT", "control.STR")])
         clock = SimClock(dt=0.1)

@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from batchsim import (Constant, IntervalTimer, InvalidRange, Multiplier,
                       PulseTrain, RangeScanner, ReportGenerator,
-                      ResettableIntegrator, SequenceSource, SimClock,
-                      Summator, build_graph, enumerate_scan_values,
-                      run_until, scan_value, step)
+                      ResettableIntegrator, SimClock, Summator, build_graph,
+                      enumerate_scan_values, scan_value, step)
 
-from test_kernel import PulseAt
+from test_kernel import PulseAt, PulseEvery, SequenceSource
 
 
 def reference_scan_sequence(minimum, maximum, step_size, direction):
@@ -44,7 +43,7 @@ def reference_scan_sequence(minimum, maximum, step_size, direction):
 
 def drive_scanner(scanner, n_strobes, collect_rpt=False):
     """Strobe a scanner once per tick and collect OUT after each strobe."""
-    strobe = PulseTrain("strobe", start=0, period=1)
+    strobe = PulseEvery("strobe", 1)
     graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
     clock = SimClock(dt=0.1)
     outs, rpts = [], []
@@ -112,13 +111,15 @@ class TestRangeScanner:
     def test_stop_on_boundary_halts_one_strobe_after_rpt(self):
         scanner = RangeScanner("control", 2.0, 8.0, 2.0,
                                stop_on_boundary=True)
-        strobe = PulseTrain("strobe", start=0, period=1)
+        strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
         clock = SimClock(dt=0.1)
-        run_until(graph, clock, lambda g, c: False, tick_budget=100)
-        assert graph.halt_flag
+        halts = []
+        for _ in range(5):
+            step(graph, clock)
+            halts.append(graph.halt_flag)
         # 4 strobes walk the range (RPT on the 4th); the 5th halts.
-        assert clock.tick_index == 5
+        assert halts == [False] * 4 + [True]
 
     def test_fifty_randomized_configurations_match_reference(self):
         rng = random.Random(20240817)
@@ -180,7 +181,7 @@ class TestRangeScanner:
         scanner = RangeScanner("control", minimum, maximum, step_size,
                                direction=direction,
                                stop_on_boundary=stop_on_boundary)
-        strobe = PulseTrain("strobe", start=0, period=1)
+        strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
         clock = SimClock(dt=0.1)
         outs, rpts, halts = [], [], []
@@ -328,10 +329,21 @@ class TestArithmetic:
         assert self._value(blocks, wires, "s.OUT") == 60.0
 
 
+class TestPulseTrain:
+    def test_fires_once_on_tick_zero(self):
+        graph = build_graph([PulseTrain("p")], [])
+        clock = SimClock(dt=0.1)
+        seen = []
+        for _ in range(5):
+            step(graph, clock)
+            seen.append(graph.value("p.OUT"))
+        assert seen == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
 class TestReportGenerator:
     def test_strobed_rows_number_from_one(self):
         src = SequenceSource("src", [1.5] * 10 + [2.5] * 10 + [3.5] * 10)
-        strobe = PulseTrain("strobe", start=9, period=10)
+        strobe = PulseEvery("strobe", 10, start=9)
         report = ReportGenerator("report")
         graph = build_graph([src, strobe, report],
                             [("src.OUT", "report.IN1"),
@@ -358,7 +370,7 @@ class TestReportGenerator:
         # source held on the strobe tick itself.
         values = [float(k) for k in range(40)]
         src = SequenceSource("src", values)
-        strobe = PulseTrain("strobe", start=7, period=13)
+        strobe = PulseEvery("strobe", 13, start=7)
         report = ReportGenerator("report")
         graph = build_graph([src, strobe, report],
                             [("src.OUT", "report.IN1"),
@@ -369,7 +381,7 @@ class TestReportGenerator:
         assert [r[0] for r in report.rows] == [7.0, 20.0, 33.0]
 
     def test_rows_are_append_only(self):
-        strobe = PulseTrain("strobe", start=0, period=5)
+        strobe = PulseEvery("strobe", 5)
         src = SequenceSource("src", [float(k) for k in range(60)])
         report = ReportGenerator("report")
         graph = build_graph([src, strobe, report],

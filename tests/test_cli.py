@@ -43,9 +43,13 @@ class TestParseConfig:
         assert "heater_color" in str(excinfo.value)
 
     def test_unknown_section_rejected(self):
-        text = read_reference_text() + "\n[turbo]\nboost = 11\n"
-        with pytest.raises(ValidationError):
-            parse_config(text)
+        # configparser folds [DEFAULT] keys into every section, which
+        # blamed them on [plant].
+        for extra, field in (("[turbo]\nboost = 11\n", "turbo"),
+                             ("[DEFAULT]\nk_min = 1\n", "DEFAULT")):
+            with pytest.raises(ValidationError) as excinfo:
+                parse_config(read_reference_text() + "\n" + extra)
+            assert excinfo.value.field == field
 
     def test_missing_key_rejected(self):
         text = read_reference_text().replace("batch_volume = 10.0\n", "")

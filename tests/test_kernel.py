@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batchsim import (AlgebraicLoop, Block, Constant, Multiplier,
-                      MultipleDrivers, NumericFault, PulseTrain,
-                      ResettableIntegrator, SimClock, SimulationError,
-                      Summator, TickBudgetExceeded, UnitDelay, UnknownPort,
-                      build_graph, run_until, step)
+                      MultipleDrivers, NumericFault, ResettableIntegrator,
+                      SimClock, SimulationError, Summator, UnitDelay,
+                      UnknownPort, build_graph, step)
 
 
 class PulseAt(Block):
@@ -28,6 +27,39 @@ class PulseAt(Block):
     def evaluate(self, clock):
         if clock.tick_index == self.tick:
             self.pulse("OUT")
+
+
+class PulseEvery(Block):
+    """Test helper: emits a pulse at ``start`` and then every ``period``
+    ticks."""
+
+    output_ports = ("OUT",)
+
+    def __init__(self, name, period, start=0):
+        super().__init__(name)
+        self.period = period
+        self.start = start
+
+    def evaluate(self, clock):
+        k = clock.tick_index - self.start
+        if k >= 0 and k % self.period == 0:
+            self.pulse("OUT")
+
+
+class SequenceSource(Block):
+    """Test helper: replays a list of values, one per tick, then holds
+    the last one."""
+
+    output_ports = ("OUT",)
+
+    def __init__(self, name, values):
+        super().__init__(name)
+        self.values = list(values)
+
+    def evaluate(self, clock):
+        if self.values:
+            k = min(clock.tick_index, len(self.values) - 1)
+            self.out["OUT"] = self.values[k]
 
 
 class NanAt(Block):
@@ -140,26 +172,7 @@ def test_numeric_fault_names_block_and_tick(blocks, wires, fault):
     assert (exc.block, exc.port, exc.tick) == fault
 
 
-def test_run_until_predicate_stop():
-    blocks = [Constant("c", 1.0), ResettableIntegrator("integrator")]
-    graph = build_graph(blocks, [("c.OUT", "integrator.IN")])
-    clock = SimClock(dt=0.1)
-    run_until(graph, clock,
-              lambda g, c: g.value("integrator.OUT") >= 5.0,
-              tick_budget=10_000)
-    assert abs(clock.t - 5.0) <= 0.1 + 1e-12
-
-
-def test_run_until_budget_exhaustion():
-    blocks = [Constant("c", 0.0)]
-    graph = build_graph(blocks, [])
-    clock = SimClock(dt=0.1)
-    with pytest.raises(TickBudgetExceeded) as excinfo:
-        run_until(graph, clock, lambda g, c: False, tick_budget=1000)
-    assert excinfo.value.tick == 1000
-
-
-def test_run_until_stops_on_halt_even_if_predicate_false():
+def test_halt_flag_is_set_by_the_halting_tick():
     class HaltAt(Block):
         output_ports = ("OUT",)
 
@@ -173,9 +186,11 @@ def test_run_until_stops_on_halt_even_if_predicate_false():
 
     graph = build_graph([HaltAt("h", 7)], [])
     clock = SimClock(dt=0.1)
-    run_until(graph, clock, lambda g, c: False, tick_budget=1000)
-    assert graph.halt_flag
-    assert clock.tick_index == 8  # tick 7 completed, then the run stopped
+    halts = []
+    for _ in range(8):
+        step(graph, clock)
+        halts.append(graph.halt_flag)
+    assert halts == [False] * 7 + [True]  # raised by tick 7 as it completes
 
 
 def test_unconnected_input_reads_zero():
@@ -238,7 +253,7 @@ def test_insertion_order_does_not_change_traces():
 
 def test_identical_runs_are_bit_identical():
     def one_run():
-        blocks = [PulseTrain("p", start=0, period=3),
+        blocks = [PulseEvery("p", 3),
                   ResettableIntegrator("i"), Summator("s", n_inputs=1)]
         graph = build_graph(blocks, [("p.OUT", "i.IN"), ("i.OUT", "s.IN1")])
         clock = SimClock(dt=0.1)

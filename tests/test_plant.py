@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchsim import (BatchHeaterPlant, Constant, FEASIBILITY_MARGIN,
-                      NeverReachesSetpoint, PlantConfig, PulseTrain,
-                      ResettableIntegrator, SimClock, UnitCosts,
-                      WearRateGenerator, build_graph, feasible_control_range,
-                      run_until, step, wear_rate)
+                      NeverReachesSetpoint, PlantConfig, ResettableIntegrator,
+                      SimClock, UnitCosts, WearRateGenerator, build_graph,
+                      feasible_control_range, step, wear_rate)
 
 from conftest import make_reference_plant
 
@@ -58,6 +57,20 @@ def fine_step_heating_time(cfg, k, dt=1e-3):
     return t
 
 
+def step_until_ptf(graph, plant, dt, count=1, max_ticks=2_000_000):
+    """Step until the plant has raised ``count`` PTF pulses, failing the
+    test if ``max_ticks`` ticks do not get there."""
+    clock = SimClock(dt=dt)
+    seen = 0
+    for _ in range(max_ticks):
+        step(graph, clock)
+        if plant.events[-1:] == [("ptf", clock.tick_index - 1)]:
+            seen += 1
+            if seen == count:
+                return
+    raise AssertionError(f"{seen} of {count} PTF pulses in {max_ticks} ticks")
+
+
 def run_one_operation(cfg, k, dt=0.1):
     """Drive a plant through one full operation with its flow volumes
     metered by integrators (rtv, rpv, ptv, and rwv fed by the wear-rate
@@ -73,9 +86,7 @@ def run_one_operation(cfg, k, dt=0.1):
         blocks.append(ResettableIntegrator(name))
         wires += [(source, f"{name}.IN"), ("plant.RTB", f"{name}.RES")]
     graph = build_graph(blocks, wires)
-    run_until(graph, SimClock(dt=dt),
-              lambda g, c: any(name == "ptf" for name, _ in plant.events),
-              tick_budget=2_000_000)
+    step_until_ptf(graph, plant, dt)
     pulses = {}
     for name, tick in plant.events:
         pulses.setdefault(name.upper(), []).append(tick)
@@ -192,9 +203,7 @@ class TestOperationProtocol:
         plant = BatchHeaterPlant("plant", cfg)
         graph = build_graph([Constant("control", 2.0), plant],
                             [("control.OUT", "plant.CL")])
-        run_until(graph, SimClock(dt=0.1),
-                  lambda g, c: sum(n == "ptf" for n, _ in plant.events) >= 3,
-                  tick_budget=2_000_000)
+        step_until_ptf(graph, plant, 0.1, count=3)
         ptf_ticks = [tick for name, tick in plant.events if name == "ptf"]
         spans = [b - a for a, b in zip(ptf_ticks, ptf_ticks[1:])]
         assert spans[0] == spans[1]  # identical operations tick for tick

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from batchsim import (BUILTIN_CRITERIA, Criterion, InfeasibleRange,
-                      NoValidRecords, OperationRecord, SweepConfig,
-                      TickBudgetExceeded, ValidationError,
-                      enumerate_scan_values, feasible_control_range,
-                      find_extremum, oracle_heating_time, oracle_operation,
-                      oracle_ticks, run_single, run_sweep,
-                      sweep as sweep_module)
+                      NoValidRecords, OperationRecord, RangeScanner,
+                      SimulationError, SweepConfig, TickBudgetExceeded,
+                      ValidationError, enumerate_scan_values,
+                      feasible_control_range, find_extremum,
+                      oracle_heating_time, oracle_operation, oracle_ticks,
+                      run_single, run_sweep, sweep as sweep_module)
 
 from conftest import make_reference_plant, operation_pulses
 
@@ -301,6 +301,21 @@ class TestRunSweep:
         report = run_sweep(reference_plant, reference_sweep, dt=1.0)
         assert len(report.records) == 13
 
+    def test_sweep_that_does_not_halt_is_refused(self, reference_plant,
+                                                 reference_sweep,
+                                                 monkeypatch):
+        # With stop_on_boundary, the tick after the last operation must
+        # halt the graph.
+        monkeypatch.setattr(RangeScanner, "request_halt", lambda self: None)
+        with pytest.raises(SimulationError, match="did not halt"):
+            run_sweep(reference_plant, reference_sweep, dt=1.0)
+
+    def test_dt_refusal_reads_apart_from_the_limit(self, reference_plant,
+                                                   reference_sweep):
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(reference_plant, reference_sweep, dt=1.0000001)
+        assert "1.0000001" in str(excinfo.value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("attr, field", PLANT_FIELDS)
     def test_bad_plant_field_rejected_at_entry(self, reference_plant,
@@ -503,3 +518,29 @@ class TestOracleTicks:
     def test_infeasible_control_refused(self, reference_plant):
         with pytest.raises(InfeasibleRange):
             oracle_ticks(reference_plant, 0.5, 0.1)
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("path, num", [("sweep", 3), ("single", 1)])
+    def test_run_off_the_twin_names_the_operation(
+            self, reference_plant, reference_sweep, monkeypatch, path, num,
+            shift):
+        # A run steps each operation for the twin's ticks and requires it
+        # to end with PTF on the last, so a twin one heating tick off at
+        # the third control stops the run at that operation.
+        ks = enumerate_scan_values(reference_sweep.k_min,
+                                   reference_sweep.k_max,
+                                   reference_sweep.k_step)
+        k = ks[2]
+
+        def shifted(plant, control_k, dt, limit=None):
+            fill, heat, release = oracle_ticks(plant, control_k, dt, limit)
+            return fill, heat + (shift if control_k == k else 0), release
+
+        monkeypatch.setattr(sweep_module, "oracle_ticks", shifted)
+        with pytest.raises(SimulationError) as excinfo:
+            if path == "sweep":
+                run_sweep(reference_plant, reference_sweep, dt=1.0)
+            else:
+                run_single(reference_plant, k, dt=1.0)
+        assert excinfo.type is SimulationError
+        assert f"operation {num} at control {k:g} " in str(excinfo.value)
