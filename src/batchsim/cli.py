@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .blocks import enumerate_scan_values
 from .config import ParseError, ValidationError, load_config
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     plant_cfg, sweep_cfg = load_config(args.config)
     if args.criterion:
-        sweep_cfg = replace(sweep_cfg, criterion=args.criterion)
+        sweep_cfg = sweep_cfg._replace(criterion=args.criterion)
     report = run_sweep(plant_cfg, sweep_cfg, dt=args.dt)
     paths = write_report(report, args.out)
     ext = report.extremum
@@ -97,7 +96,8 @@ def _cmd_validate(args) -> int:
     print(f"predicted_operations: {len(ks)}")
     try:
         ops, ticks, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
-                                           sweep_cfg.tick_budget, "k_min")
+                                           sweep_cfg.tick_budget,
+                                           ("k_min", "k_max"))
     except (ValidationError, SimulationError) as exc:
         print(f"infeasible: {exc}")
         return 1

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, fields
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from .econ import BUILTIN_CRITERIA
 from .plant import PlantConfig, UnitCosts
@@ -40,8 +39,7 @@ DEFAULT_CRITERION = "efficiency"
 DEFAULT_TICK_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Scan settings for the control range."""
 
     k_min: float
@@ -94,7 +92,7 @@ def _keys(cls) -> dict[str, object]:
             if kind in _CONVERTERS}
 
 
-# One key per dataclass field: [plant] holds the PlantConfig fields but
+# One key per scalar record field: [plant] holds the PlantConfig fields but
 # the wear_* ones, which [wear] holds unprefixed; [costs] is UnitCosts.
 _PLANT_KEYS = _keys(PlantConfig)
 _SCHEMA = {
@@ -108,8 +106,7 @@ _SCHEMA = {
 }
 
 # Sweep keys that fall back to SweepConfig defaults when omitted.
-_SWEEP_OPTIONAL = {f.name for f in fields(SweepConfig)
-                   if f.default is not MISSING}
+_SWEEP_OPTIONAL = set(SweepConfig._field_defaults)
 
 
 # Each check states the valid range, so NaN (which fails every
@@ -167,7 +164,8 @@ def validate_run_settings(criterion: str, tick_budget: int) -> None:
         raise ValidationError(
             "criterion", f"unknown name {criterion!r}; available: "
             + ", ".join(sorted(BUILTIN_CRITERIA)))
-    if not (isinstance(tick_budget, int) and tick_budget > 0):
+    if (isinstance(tick_budget, bool) or not isinstance(tick_budget, int)
+            or tick_budget <= 0):
         raise ValidationError("tick_budget", "must be a positive tick count")
 
 

@@ -18,8 +18,7 @@ committed cost-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .kernel import Block, SimClock
 from .plant import UnitCosts
@@ -27,8 +26,7 @@ from .plant import UnitCosts
 NAN = float("nan")
 
 
-@dataclass(frozen=True, slots=True)
-class FlowVolumes:
+class FlowVolumes(NamedTuple):
     """Integrated flow volumes of one operation."""
 
     rtv: float  # raw product, kg
@@ -37,8 +35,7 @@ class FlowVolumes:
     rwv: float  # equipment wear, life fraction
 
 
-@dataclass(frozen=True, slots=True)
-class OperationRecord:
+class OperationRecord(NamedTuple):
     """One completed operation with key and derived indicators.
 
     ``valid`` is False for degenerate operations (zero input cost or zero
@@ -61,8 +58,7 @@ class OperationRecord:
     valid: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class Criterion:
+class Criterion(NamedTuple):
     """Named score of an ``OperationRecord``, higher is better; it may
     rank any field, such as ``rwv`` for wear."""
 

@@ -21,7 +21,6 @@ fixes each operation's length before its first tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
@@ -52,7 +51,6 @@ class NumericFault(SimulationError):
         self.tick = tick
 
 
-@dataclass(slots=True)
 class SimClock:
     """Simulation time base.
 
@@ -60,8 +58,11 @@ class SimClock:
     accumulate drift: t == tick_index * dt exactly.
     """
 
-    dt: float
-    tick_index: int = 0
+    __slots__ = ("dt", "tick_index")
+
+    def __init__(self, dt: float, tick_index: int = 0):
+        self.dt = dt
+        self.tick_index = tick_index
 
     @property
     def t(self) -> float:

@@ -15,7 +15,7 @@ operation this gives the wear charged to that operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import Block, SimClock, SimulationError
 
@@ -38,8 +38,7 @@ class NeverReachesSetpoint(SimulationError):
         self.tick = tick
 
 
-@dataclass(frozen=True, slots=True)
-class UnitCosts:
+class UnitCosts(NamedTuple):
     """Cost per unit of each flow: raw (per kg), energy (per J), wear
     (per life-fraction unit), output (per kg)."""
 
@@ -49,8 +48,7 @@ class UnitCosts:
     output: float
 
 
-@dataclass(frozen=True, slots=True)
-class PlantConfig:
+class PlantConfig(NamedTuple):
     """Physical and economic parameters of the heating subsystem.
 
     Validation happens at the parsing/run boundary (see config module),

@@ -16,9 +16,9 @@ operation for exactly that many ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import inf, log1p
+from typing import NamedTuple
 
 from . import econ, kernel
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
@@ -61,8 +61,7 @@ class TickBudgetExceeded(SimulationError):
         self.control_k = control_k
 
 
-@dataclass(frozen=True, slots=True)
-class ExtremumResult:
+class ExtremumResult(NamedTuple):
     """Best record under a criterion: list index, control and score."""
 
     index: int
@@ -70,8 +69,7 @@ class ExtremumResult:
     score: float
 
 
-@dataclass(slots=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Ordered sweep outcome plus the located extremum.
 
     ``pulse_events`` is the ordered (channel, time) stream of the four
@@ -294,9 +292,10 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
 
 def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
                 tick_budget: int,
-                control_field: str) -> tuple[list, list, float]:
+                control_fields: tuple[str, str]) -> tuple[list, list, float]:
     """Entry checks of every run over its controls ``ks``: a valid plant,
-    controls above the feasible floor (a refusal names ``control_field``),
+    controls above the feasible floor and with a finite wear rate (a
+    refusal names the lowest or the highest control, ``control_fields``),
     a finite dt no coarser than a tenth of the shortest phase, and a tick
     budget that finishes each operation, in scan order.  An operation
     steps one start tick, which raises RTB, then its ``oracle_ticks``, so
@@ -309,12 +308,17 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
     if not 0.0 < dt < inf:  # also false for NaN
         raise ValidationError("dt", f"must be finite and > 0, got {dt!r}")
     validate_plant_config(plant_cfg)
+    low, high = control_fields
     k_floor = feasible_control_range(plant_cfg)
     if min(ks) < k_floor:
         raise InfeasibleRange(
-            f"{control_field}={min(ks):g} is below the feasible control "
-            f"floor {k_floor:g}")
-    ops = [oracle_operation(plant_cfg, k) for k in ks]
+            f"{low}={min(ks):g} is below the feasible control floor "
+            f"{k_floor:g}")
+    try:
+        ops = [oracle_operation(plant_cfg, k) for k in ks]
+    except OverflowError:  # k**alpha of the wear rate, largest at the top
+        raise ValidationError(high, "the wear rate k**alpha overflows at "
+                              f"{max(ks):g}") from None
     limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
                 plant_cfg.batch_volume / plant_cfg.release_intensity,
                 *(op["heat_time"] for op in ops)) / 10.0
@@ -372,7 +376,8 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
     validate_sweep_config(sweep)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
-    _, ticks, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget, "k_min")
+    _, ticks, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget,
+                              ("k_min", "k_max"))
     return _run(build_sweep_graph(plant_cfg, sweep), ks, ticks, dt,
                 BUILTIN_CRITERIA[sweep.criterion], sweep.stop_on_boundary)
 
@@ -385,6 +390,6 @@ def run_single(plant_cfg: PlantConfig, control_k: float,
     _require_positive("control_k", control_k)
     validate_run_settings(criterion, tick_budget)
     _, ticks, _ = check_entry(plant_cfg, [control_k], dt, tick_budget,
-                              "control_k")
+                              ("control_k", "control_k"))
     return _run(build_single_graph(plant_cfg, control_k), [control_k], ticks,
                 dt, BUILTIN_CRITERIA[criterion], False)

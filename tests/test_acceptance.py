@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import replace
 
 from batchsim import (FlowVolumes, RangeScanner, SimClock, UnitCosts,
                       aggregate_costs, build_graph, enumerate_scan_values,
@@ -132,8 +131,8 @@ def test_criterion_5_wear_formula(reference_plant):
     worst = 0.0
     for k in (0.5, 1.0, 2.0, 4.0):
         for alpha in (0.0, 1.0, 2.0, 3.0):
-            cfg = replace(reference_plant, wear_alpha=alpha,
-                          wear_t_nominal=1e4)
+            cfg = reference_plant._replace(wear_alpha=alpha,
+                                           wear_t_nominal=1e4)
             got = wear_rate(k, cfg)
             # Independent route: repeated multiplication for the integer
             # exponent, divided once.
@@ -224,7 +223,7 @@ def test_criterion_8_cost_scaling_invariance(reference_plant,
     details = []
     for lam in (0.5, 3.0):
         costs = reference_plant.unit_costs
-        scaled_plant = replace(reference_plant, unit_costs=UnitCosts(
+        scaled_plant = reference_plant._replace(unit_costs=UnitCosts(
             raw=lam * costs.raw, energy=lam * costs.energy,
             wear=lam * costs.wear, output=lam * costs.output))
         scaled = run_sweep(scaled_plant, reference_sweep, dt=0.1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -79,7 +78,7 @@ class TestParseConfig:
     def test_validators_cover_field_constraints(self):
         plant = make_reference_plant()
         validate_plant_config(plant)  # reference passes
-        bad = replace(plant, heater_efficiency=1.5)
+        bad = plant._replace(heater_efficiency=1.5)
         with pytest.raises(ValidationError) as excinfo:
             validate_plant_config(bad)
         assert excinfo.value.field == "heater_efficiency"
@@ -94,7 +93,7 @@ class TestParseConfig:
 def small_report():
     """A fast three-point sweep used for serialization tests."""
     plant, sweep = load_config(REFERENCE_INI)
-    return run_sweep(plant, replace(sweep, k_min=2.0, k_max=3.0, k_step=0.5))
+    return run_sweep(plant, sweep._replace(k_min=2.0, k_max=3.0, k_step=0.5))
 
 
 class TestWriteReport:
@@ -130,9 +129,9 @@ class TestWriteReport:
     def test_invalid_record_encodes_nan_indicators(self, small_report,
                                                    tmp_path):
         nan = float("nan")
-        broken = replace(small_report.records[0], prf=nan, rnt=nan, r=nan,
-                         e=nan, valid=False)
-        report = replace(small_report, records=[broken])
+        broken = small_report.records[0]._replace(prf=nan, rnt=nan, r=nan,
+                                                  e=nan, valid=False)
+        report = small_report._replace(records=[broken])
         csv_path, _ = write_report(report, tmp_path)
         row = csv_path.read_text().splitlines()[1].split(",")
         assert row[-1] == "0"
@@ -178,7 +177,7 @@ class TestWriteReport:
             == sorted(p.name for p in paths)
 
     def test_empty_report_refused(self, small_report, tmp_path):
-        report = replace(small_report, records=[])
+        report = small_report._replace(records=[])
         with pytest.raises(ValueError):
             write_report(report, tmp_path)
 
@@ -186,7 +185,7 @@ class TestWriteReport:
         target = tmp_path / "out"
         target.mkdir()
         (target / "operations.csv").write_text("sentinel")
-        bad = replace(small_report, records=[object()])  # unformattable
+        bad = small_report._replace(records=[object()])  # unformattable
         with pytest.raises(Exception):
             write_report(bad, target)
         assert (target / "operations.csv").read_text() == "sentinel"
@@ -223,7 +222,8 @@ class TestCli:
         (("tick_budget = 2000000", "tick_budget = 1000"), 1,
          "tick_budget 1000 cannot finish"),
         (("k_min = 0.6", "k_min = 0.5"), 1, "k_min=0.5 is below"),
-    ], ids=["reference", "batch_volume", "tick_budget", "k_min"])
+        (("alpha = 3.0", "alpha = 1000"), 1, "k_max: the wear rate"),
+    ], ids=["reference", "batch_volume", "tick_budget", "k_min", "alpha"])
     def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys,
                                                  edit, status, expected):
         text = read_reference_text()
@@ -293,6 +293,13 @@ class TestCli:
                    "--out", str(tmp_path), "--k", "0.2"])
         assert rc == 1
         assert "feasible" in capsys.readouterr().err
+
+    def test_run_once_overflowing_wear_rate(self, tmp_path, capsys):
+        rc = main(["run-once", "--config", str(REFERENCE_INI),
+                   "--out", str(tmp_path / "results"), "--k", "1e200"])
+        assert rc == 1
+        assert "error: control_k:" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["validate", "--config", str(tmp_path / "absent.ini")])

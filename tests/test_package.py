@@ -1,0 +1,60 @@
+"""The package as a user meets it: a light import, the CLI run as a
+program, and public records that cannot change under their holder."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+
+import pytest
+
+from batchsim import ExtremumResult, OperationRecord, SweepReport
+
+from conftest import (REFERENCE_INI, REPO_ROOT, make_reference_plant,
+                      make_reference_sweep)
+
+
+def _isolated_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -I`` with only ``src`` added to
+    its path, so no site, user or environment setting leaks in."""
+    prelude = f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r}); "
+    return subprocess.run([sys.executable, "-I", "-c", prelude + code, *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost most of an import of the package; nothing in it needs them.
+    done = _isolated_python(
+        "import batchsim; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_cli_module_runs_as_a_program():
+    done = _isolated_python(
+        "import runpy; runpy.run_module('batchsim.cli', run_name='__main__',"
+        " alter_sys=True)", "validate", "--config", str(REFERENCE_INI))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("config: OK\n")
+
+
+_RECORD = OperationRecord(1, 1.0, 1250.0, 10.0, 2.2e6, 10.0, 3.5e-4, 4.07,
+                          6.0, 1.93, 0.47, 5087.5, 3.8e-4)
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (make_reference_plant(), "heat_capacity", 1000.0),
+    (make_reference_sweep(), "k_max", 2.0),
+    (_RECORD, "prf", 0.0),
+    (SweepReport([_RECORD], "efficiency", ExtremumResult(0, 1.0, 3.8e-4),
+                 [], 0.1), "dt", 0.5),
+], ids=["PlantConfig", "SweepConfig", "OperationRecord", "SweepReport"])
+def test_public_records_are_immutable(record, field, value):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    changed = record._replace(**{field: value})
+    assert getattr(changed, field) == value
+    assert getattr(record, field) == before
+    assert changed._replace(**{field: before}) == record

@@ -5,7 +5,6 @@ feasible plants."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +27,11 @@ BAD_SINGLE_ARGS = [({"control_k": math.nan}, "control_k"),
                    ({"control_k": math.inf}, "control_k"),
                    ({"tick_budget": 0}, "tick_budget"),
                    ({"tick_budget": 1000.5}, "tick_budget"),
-                   ({"criterion": "bogus"}, "criterion")]
+                   ({"criterion": "bogus"}, "criterion"),
+                   # k**alpha overflows a float.
+                   ({"control_k": 1e200}, "control_k"),
+                   # bool is an int, but no tick count.
+                   ({"tick_budget": True}, "tick_budget")]
 
 # PlantConfig attribute -> the field name a ValidationError carries.
 PLANT_FIELDS = [("heat_capacity", "heat_capacity"),
@@ -60,9 +63,9 @@ def _phase_ticks(report):
 # A round plant (h = 0, eta = 1, whole-number parameters) on which the
 # closed-form tick count ceil(heat_time / dt) = 1000 is one short: the
 # simulated temperature accumulates rounding and needs 1001 ticks.
-ROUND_PLANT = replace(make_reference_plant(), heat_capacity=1000.0,
-                      heater_nominal_power=1000.0, heater_efficiency=1.0,
-                      loss_coeff=0.0)
+ROUND_PLANT = make_reference_plant()._replace(
+    heat_capacity=1000.0, heater_nominal_power=1000.0, heater_efficiency=1.0,
+    loss_coeff=0.0)
 
 
 def _maybe_whole(draw, low, high):
@@ -84,8 +87,8 @@ def twin_cases(draw):
                          | st.floats(0.5, 2.0))
     ambient = _maybe_whole(draw, -10.0, 30.0)
     delta = _maybe_whole(draw, 10.0, 80.0)
-    plant = replace(
-        make_reference_plant(), batch_volume=fill_rate * fill_s,
+    plant = make_reference_plant()._replace(
+        batch_volume=fill_rate * fill_s,
         fill_rate=fill_rate, release_intensity=fill_rate / release_ratio,
         ambient_temp=ambient, setpoint=ambient + delta,
         heater_nominal_power=_maybe_whole(draw, 500.0, 5000.0),
@@ -96,11 +99,11 @@ def twin_cases(draw):
     k = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.2, 3.0))
     k = max(k, math.ceil(floor * 2.4) / 2)
     # Heating time is linear in the heat capacity.
-    per_capacity = oracle_heating_time(replace(plant, heat_capacity=1.0), k)
+    per_capacity = oracle_heating_time(plant._replace(heat_capacity=1.0), k)
     capacity = fill_s * draw(st.floats(0.5, 4.0)) / per_capacity
     if draw(st.booleans()):
         capacity = float(max(1, round(capacity)))
-    plant = replace(plant, heat_capacity=capacity)
+    plant = plant._replace(heat_capacity=capacity)
     # The entry check's dt limit, computed as it computes it.
     limit = min(plant.batch_volume / plant.fill_rate,
                 plant.batch_volume / plant.release_intensity,
@@ -125,19 +128,18 @@ def feasible_cases(draw):
     # Control at which delivered power only just offsets the losses.
     k_zero = draw(st.floats(0.2, 1.0))
     loss = k_zero * power * eta / delta
-    plant = replace(make_reference_plant(), batch_volume=mass,
-                    fill_rate=mass / fill_s,
-                    release_intensity=mass / release_s,
-                    ambient_temp=ambient, setpoint=ambient + delta,
-                    loss_coeff=loss, heater_nominal_power=power,
-                    heater_efficiency=eta)
+    plant = make_reference_plant()._replace(
+        batch_volume=mass, fill_rate=mass / fill_s,
+        release_intensity=mass / release_s,
+        ambient_temp=ambient, setpoint=ambient + delta,
+        loss_coeff=loss, heater_nominal_power=power, heater_efficiency=eta)
     floor = feasible_control_range(plant)
     low = floor * draw(st.floats(1.2, 2.5))
     high = floor * draw(st.floats(low / floor + 0.25, 3.0))
     # Heating at the top control lasts 1 to 3 fills.
     heat_high = fill_s * draw(st.floats(1.0, 3.0))
-    plant = replace(plant, heat_capacity=loss * heat_high
-                    / -math.log1p(-k_zero / high))
+    plant = plant._replace(heat_capacity=loss * heat_high
+                           / -math.log1p(-k_zero / high))
     sweep = SweepConfig(k_min=low, k_max=high, k_step=(high - low) / 2)
     dt = min(fill_s, release_s, oracle_heating_time(plant, high)) / 20.0
     return plant, sweep, k_zero, dt
@@ -166,26 +168,26 @@ class TestFindExtremum:
         assert result.index == 1 and result.control_k == 1.0
 
     def test_all_invalid_raises(self):
-        records = [replace(_record(1, 1.0, 1.0), valid=False)]
+        records = [_record(1, 1.0, 1.0)._replace(valid=False)]
         with pytest.raises(NoValidRecords):
             find_extremum(records, self.CRITERION)
 
     def test_invalid_records_skipped(self):
-        records = [replace(_record(1, 1.0, 9.0), valid=False),
+        records = [_record(1, 1.0, 9.0)._replace(valid=False),
                    _record(2, 2.0, 1.0)]
         assert find_extremum(records, self.CRITERION).index == 1
 
 
 class TestHeatingOracle:
     def test_zero_loss_value(self):
-        cfg = replace(make_reference_plant(), loss_coeff=0.0,
-                      heater_efficiency=1.0)
+        cfg = make_reference_plant()._replace(loss_coeff=0.0,
+                                              heater_efficiency=1.0)
         assert oracle_heating_time(cfg, 1.0) == pytest.approx(1046.5,
                                                               rel=1e-12)
 
     def test_vanishing_loss_approaches_zero_loss_formula(self):
-        lossless = replace(make_reference_plant(), loss_coeff=0.0)
-        tiny_loss = replace(make_reference_plant(), loss_coeff=1e-9)
+        lossless = make_reference_plant()._replace(loss_coeff=0.0)
+        tiny_loss = make_reference_plant()._replace(loss_coeff=1e-9)
         for k in (0.7, 1.0, 2.5):
             assert oracle_heating_time(tiny_loss, k) == pytest.approx(
                 oracle_heating_time(lossless, k), rel=1e-6)
@@ -196,8 +198,8 @@ class TestHeatingOracle:
             oracle_heating_time(cfg, 0.4)
 
     def test_oracle_operation_volumes(self):
-        cfg = replace(make_reference_plant(), loss_coeff=0.0,
-                      heater_efficiency=1.0)
+        cfg = make_reference_plant()._replace(loss_coeff=0.0,
+                                              heater_efficiency=1.0)
         op = oracle_operation(cfg, 1.0)
         assert op["rpv"] == pytest.approx(2.093e6, rel=1e-12)
         assert op["rtv"] == op["ptv"] == 10.0
@@ -232,7 +234,7 @@ class TestRunSweep:
 
     def test_neg_cost_extremum_is_interior(self, reference_plant,
                                            reference_sweep):
-        sweep = replace(reference_sweep, criterion="neg_cost")
+        sweep = reference_sweep._replace(criterion="neg_cost")
         report = run_sweep(reference_plant, sweep)
         assert 0 < report.extremum.index < len(report.records) - 1
 
@@ -245,7 +247,7 @@ class TestRunSweep:
     def test_direction_reversal_yields_same_extremum(self, reference_plant,
                                                      reference_sweep,
                                                      coarse_report):
-        reversed_sweep = replace(reference_sweep, direction="descending")
+        reversed_sweep = reference_sweep._replace(direction="descending")
         reversed_report = run_sweep(reference_plant, reversed_sweep)
         ks = [r.control_k for r in reversed_report.records]
         assert all(b < a for a, b in zip(ks, ks[1:]))
@@ -269,14 +271,14 @@ class TestRunSweep:
 
     def test_tick_budget_names_offending_control(self, reference_plant,
                                                  reference_sweep):
-        sweep = replace(reference_sweep, tick_budget=500)
+        sweep = reference_sweep._replace(tick_budget=500)
         with pytest.raises(TickBudgetExceeded) as excinfo:
             run_sweep(reference_plant, sweep)
         assert excinfo.value.control_k == pytest.approx(0.6)
 
     def test_stop_without_boundary_halt_uses_record_count(
             self, reference_plant, reference_sweep, coarse_report):
-        sweep = replace(reference_sweep, stop_on_boundary=False)
+        sweep = reference_sweep._replace(stop_on_boundary=False)
         report = run_sweep(reference_plant, sweep)
         assert [r.control_k for r in report.records] == \
             [r.control_k for r in coarse_report.records]
@@ -287,7 +289,7 @@ class TestRunSweep:
         # identically.
         for rec in coarse_report.records:
             single = run_single(reference_plant, rec.control_k).records[0]
-            assert replace(single, num=rec.num) == rec
+            assert single._replace(num=rec.num) == rec
 
     @pytest.mark.parametrize("dt", BAD_DTS)
     def test_bad_dt_rejected_at_entry(self, reference_plant, reference_sweep,
@@ -321,7 +323,7 @@ class TestRunSweep:
     def test_bad_plant_field_rejected_at_entry(self, reference_plant,
                                                reference_sweep, attr, field,
                                                value):
-        plant = replace(reference_plant, **{attr: value})
+        plant = reference_plant._replace(**{attr: value})
         with pytest.raises(ValidationError) as excinfo:
             run_sweep(plant, reference_sweep)
         assert excinfo.value.field == field
@@ -329,10 +331,23 @@ class TestRunSweep:
     @pytest.mark.parametrize("field", ["k_min", "k_max", "k_step"])
     def test_nan_sweep_field_rejected_at_entry(self, reference_plant,
                                                reference_sweep, field):
-        sweep = replace(reference_sweep, **{field: math.nan})
+        sweep = reference_sweep._replace(**{field: math.nan})
         with pytest.raises(ValidationError) as excinfo:
             run_sweep(reference_plant, sweep)
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("plant_edit, sweep_edit", [
+        ({}, {"k_max": 1e200, "k_step": 1e199}),
+        ({"wear_alpha": 1000.0}, {})], ids=["k_max", "alpha"])
+    def test_overflowing_wear_rate_names_k_max_at_entry(
+            self, reference_plant, reference_sweep, monkeypatch,
+            plant_edit, sweep_edit):
+        # k**alpha overflows a float at the top of the range.
+        monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(reference_plant._replace(**plant_edit),
+                      reference_sweep._replace(**sweep_edit))
+        assert excinfo.value.field == "k_max"
 
     @pytest.mark.parametrize("budget", [500, 39_000])
     def test_insufficient_budget_refused_before_any_tick(
@@ -341,7 +356,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
         with pytest.raises(TickBudgetExceeded) as excinfo:
             run_sweep(reference_plant,
-                      replace(reference_sweep, tick_budget=budget))
+                      reference_sweep._replace(tick_budget=budget))
         assert excinfo.value.control_k == pytest.approx(0.6)
         assert excinfo.value.tick == 0
         assert "exhausted" not in str(excinfo.value)
@@ -357,7 +372,7 @@ class TestRunSweep:
         assert len(single.records) == 1
         with pytest.raises(TickBudgetExceeded) as excinfo:
             run_sweep(reference_plant,
-                      replace(reference_sweep, tick_budget=39_000))
+                      reference_sweep._replace(tick_budget=39_000))
         assert excinfo.value.control_k == pytest.approx(0.6)
 
     def test_repeat_run_bit_identical(self, reference_plant, reference_sweep,
@@ -395,14 +410,15 @@ class TestRunSingle:
     @pytest.mark.parametrize("attr, field", PLANT_FIELDS)
     def test_bad_plant_field_rejected_at_entry(self, reference_plant, attr,
                                                field, value):
-        plant = replace(reference_plant, **{attr: value})
+        plant = reference_plant._replace(**{attr: value})
         with pytest.raises(ValidationError) as excinfo:
             run_single(plant, 1.0)
         assert excinfo.value.field == field
 
     @pytest.mark.parametrize("kwargs, field", BAD_SINGLE_ARGS,
                              ids=["nan_control", "inf_control", "zero_budget",
-                                  "fractional_budget", "unknown_criterion"])
+                                  "fractional_budget", "unknown_criterion",
+                                  "overflowing_wear", "bool_budget"])
     def test_bad_argument_rejected_at_entry(self, reference_plant,
                                             monkeypatch, kwargs, field):
         monkeypatch.setattr(sweep_module, "build_single_graph",
@@ -420,7 +436,7 @@ class TestRunSingle:
         sweep_need = _budget_needed(reference_plant, 0.6, 0.1)
         single_need = _budget_needed(reference_plant, 1.0, 0.1)
         assert (sweep_need, single_need) == (39_676, 15_472)
-        sweep = replace(reference_sweep, tick_budget=sweep_need)
+        sweep = reference_sweep._replace(tick_budget=sweep_need)
         assert run_sweep(reference_plant, sweep).records == \
             coarse_report.records
         assert run_single(reference_plant, 1.0,
@@ -431,7 +447,7 @@ class TestRunSingle:
                             _refuse_graph)
         refused = [
             (lambda: run_sweep(reference_plant,
-                               replace(sweep, tick_budget=sweep_need - 1)),
+                               sweep._replace(tick_budget=sweep_need - 1)),
              0.6),
             (lambda: run_single(reference_plant, 1.0,
                                 tick_budget=single_need - 1), 1.0)]
@@ -477,7 +493,7 @@ class TestRandomFeasiblePlants:
                 assert abs(getattr(rec, field) - op[field]) <= \
                     bound * op[field]
             single = run_single(plant, rec.control_k, dt=dt).records[0]
-            assert replace(single, num=rec.num) == rec
+            assert single._replace(num=rec.num) == rec
 
     @settings(max_examples=25, deadline=None)
     @given(feasible_cases(), st.integers(0, 2))
