@@ -7,7 +7,7 @@ from .kernel import (AlgebraicLoop, Block, BlockGraph, MultipleDrivers,
 from .blocks import (Constant, IntervalTimer, InvalidRange, Multiplier,
                      PulseTrain, RangeScanner, ReportGenerator,
                      ResettableIntegrator, Summator, UnitDelay,
-                     enumerate_scan_values, scan_value)
+                     enumerate_scan_values)
 from .plant import (BatchHeaterPlant, FEASIBILITY_MARGIN,
                     NeverReachesSetpoint, PlantConfig, UnitCosts,
                     WearRateGenerator, feasible_control_range, wear_rate)

@@ -16,61 +16,45 @@ from .kernel import Block, SimClock, SimulationError
 
 
 class InvalidRange(SimulationError):
-    """Scan range empty or not finite, or step not finite and positive."""
+    """Scan range empty or not finite, step not finite and positive, or
+    more than a million steps."""
 
 
 # Relative slack used when deciding that a scan value has reached the far
 # boundary; keeps float step accumulation from adding a phantom point.
 _BOUNDARY_TOL = 1e-9
 
-# Guard for callers that enumerate a whole scan up front.
+# Most steps a scan may take.
 _MAX_SCAN_POINTS = 1_000_000
-
-
-def _check_range(minimum: float, maximum: float, step: float) -> None:
-    """Refuse all but finite minimum < maximum and 0 < step < inf (so NaN)."""
-    if not (-inf < minimum < maximum < inf and 0.0 < step < inf):
-        raise InvalidRange(
-            f"scan range requires finite minimum < maximum and finite "
-            f"step > 0, got [{minimum}, {maximum}] step {step}")
-
-
-def scan_value(minimum: float, maximum: float, step: float,
-               direction: int, index: int) -> tuple[float, bool]:
-    """Value of scan point ``index`` (0-based) and whether it is the
-    clamped far boundary.
-
-    Points are recomputed as ``minimum + index * step`` rather than
-    accumulated, so the emitted sequence is identical no matter where it
-    is produced (scanner block, sweep planner, validators).
-    """
-    _check_range(minimum, maximum, step)
-    tol = _BOUNDARY_TOL * step
-    if direction == 0:
-        raw = minimum + index * step
-        if raw >= maximum - tol:
-            return maximum, True
-        return raw, False
-    raw = maximum - index * step
-    if raw <= minimum + tol:
-        return minimum, True
-    return raw, False
 
 
 def enumerate_scan_values(minimum: float, maximum: float, step: float,
                           direction: int = 0) -> list[float]:
-    """Full ordered scan sequence, boundary point included."""
-    _check_range(minimum, maximum, step)
+    """Full ordered scan, ascending unless ``direction`` is set: point i
+    is ``minimum + i * step`` (or ``maximum - i * step``), not a running
+    sum, and the last one is clamped onto the far boundary.  The only
+    code that produces a scan: the scanner block, the sweep planner and
+    the validators all take their points from here.  Refuses a range
+    that is empty or not finite, a step that is not finite and positive,
+    and more than a million steps.
+    """
+    if not (-inf < minimum < maximum < inf and 0.0 < step < inf):  # NaN fails
+        raise InvalidRange(
+            f"scan range requires finite minimum < maximum and finite "
+            f"step > 0, got [{minimum}, {maximum}] step {step}")
     if (maximum - minimum) / step > _MAX_SCAN_POINTS:
         raise InvalidRange("scan step is too small for the range")
+    tol = _BOUNDARY_TOL * step
     values = []
-    index = 0
-    while True:
-        value, boundary = scan_value(minimum, maximum, step, direction, index)
-        values.append(value)
-        if boundary:
-            return values
-        index += 1
+    if not direction:
+        while (raw := minimum + len(values) * step) < maximum - tol:
+            values.append(raw)
+        values.append(maximum)
+    else:
+        while (raw := maximum - len(values) * step) > minimum + tol:
+            values.append(raw)
+        values.append(minimum)
+    return values
 
 
 class Constant(Block):
@@ -185,14 +169,13 @@ class IntervalTimer(Block):
 class RangeScanner(Block):
     """Linear scanner stepping a control signal across a range.
 
-    Configuration (minimum, maximum, step, direction, stop_on_boundary)
-    is fixed and checked at construction.  Each STR strobe advances OUT one step from
-    the near boundary toward the far one, clamping the final point onto
-    the far boundary exactly; the strobe that lands there also raises the
-    RPT level.  Strobes arriving after RPT never restart the scan: with
-    ``stop_on_boundary`` set they halt the whole system instead, which in
-    a strobe-per-operation protocol stops the run right after the
-    boundary operation completes.
+    The construction takes the points, and refuses a bad range, once
+    through :func:`enumerate_scan_values`.  Each STR strobe emits the next
+    point on OUT; the strobe that emits the last one, the far boundary,
+    also raises the RPT level.  Strobes arriving after RPT never restart
+    the scan: with ``stop_on_boundary`` set they halt the whole system
+    instead, which in a strobe-per-operation protocol stops the run
+    right after the boundary operation completes.
     """
 
     input_ports = ("STR",)
@@ -201,12 +184,9 @@ class RangeScanner(Block):
     def __init__(self, name: str, minimum: float, maximum: float, step: float,
                  direction: int = 0, stop_on_boundary: bool = False):
         super().__init__(name)
-        self.minimum = float(minimum)
-        self.maximum = float(maximum)
-        self.step = float(step)
-        self.direction = 1 if direction else 0
+        self.points = enumerate_scan_values(float(minimum), float(maximum),
+                                            float(step), direction)
         self.stop_on_boundary = bool(stop_on_boundary)
-        _check_range(self.minimum, self.maximum, self.step)
         self._emitted = 0
 
     def evaluate(self, clock: SimClock) -> None:
@@ -216,11 +196,9 @@ class RangeScanner(Block):
             if self.stop_on_boundary:
                 self.request_halt()
             return
-        value, boundary = scan_value(self.minimum, self.maximum, self.step,
-                                     self.direction, self._emitted)
+        self.out["OUT"] = self.points[self._emitted]
         self._emitted += 1
-        self.out["OUT"] = value
-        if boundary:
+        if self._emitted == len(self.points):
             self.out["RPT"] = 1.0
 
 

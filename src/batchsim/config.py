@@ -19,6 +19,7 @@ import configparser
 import math
 from typing import NamedTuple, get_type_hints
 
+from .blocks import InvalidRange, enumerate_scan_values
 from .econ import BUILTIN_CRITERIA
 from .plant import PlantConfig, UnitCosts
 
@@ -151,6 +152,10 @@ def validate_sweep_config(sweep: SweepConfig) -> None:
         raise ValidationError(
             "k_min", f"must be below k_max ({sweep.k_max:g}), "
             f"got {sweep.k_min:g}")
+    try:  # the point cap, stated once in the scan
+        enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step)
+    except InvalidRange as exc:
+        raise ValidationError("k_step", str(exc)) from None
     if sweep.direction not in ("ascending", "descending"):
         raise ValidationError(
             "direction", f"must be 'ascending' or 'descending', "

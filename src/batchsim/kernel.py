@@ -30,7 +30,7 @@ class SimulationError(Exception):
 
 
 class UnknownPort(SimulationError):
-    """A wire references a block or port that does not exist."""
+    """A wire or a read references a block or port that does not exist."""
 
 
 class MultipleDrivers(SimulationError):
@@ -93,11 +93,14 @@ class Block:
         self._graph: BlockGraph | None = None
 
     def read(self, port: str) -> float:
-        """Current value on an input port; unconnected inputs read 0."""
-        ref = self._sources.get(port)
-        if ref is None:
-            return 0.0
-        return ref[0][ref[1]]
+        """Current value on an input port.  A port the block does not
+        declare, or any port before :func:`build_graph`, raises UnknownPort."""
+        try:
+            out, key = self._sources[port]
+        except KeyError:
+            raise UnknownPort(
+                f"{self.name}.{port} is not a bound input") from None
+        return out[key]
 
     def pulse(self, port: str) -> None:
         """Raise a one-tick unit pulse on an output port."""
@@ -160,7 +163,8 @@ def build_graph(blocks: Sequence[Block],
     order is a topological sort over non-delayed edges; wires into a
     ``breaks_cycle`` block impose no ordering because such blocks consume
     their inputs after the tick, in :meth:`Block.latch`.  A block can
-    belong to one graph only; unwired inputs read 0.
+    belong to one graph only.  Every declared input is bound: unwired
+    ones to the graph's one zero source, which nothing writes.
     """
     by_name: dict[str, Block] = {}
     for b in blocks:
@@ -173,8 +177,9 @@ def build_graph(blocks: Sequence[Block],
 
     # Inputs are bound only once the whole wiring validates, so a refused
     # build leaves every block as it was.
+    zero = ({"OUT": 0.0}, "OUT")
     sources: dict[str, dict[str, tuple[dict[str, float], str]]] = {
-        name: {} for name in by_name}
+        b.name: dict.fromkeys(b.input_ports, zero) for b in blocks}
     edges: dict[str, set[str]] = {b.name: set() for b in blocks}
     for src_ref, dst_ref in wires:
         src_name, src_port = _parse_endpoint(src_ref)
@@ -185,7 +190,7 @@ def build_graph(blocks: Sequence[Block],
             raise UnknownPort(f"wire source {src_ref!r} does not exist")
         if dst is None or dst_port not in dst.input_ports:
             raise UnknownPort(f"wire destination {dst_ref!r} does not exist")
-        if dst_port in sources[dst_name]:
+        if sources[dst_name][dst_port] is not zero:
             raise MultipleDrivers(f"input {dst_ref!r} has more than one driver")
         sources[dst_name][dst_port] = (src.out, src_port)
         if not dst.breaks_cycle:

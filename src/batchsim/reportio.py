@@ -8,7 +8,6 @@ error can never leave a partially written report behind.
 
 from __future__ import annotations
 
-import csv
 import os
 from pathlib import Path
 from typing import get_type_hints
@@ -84,17 +83,19 @@ def write_report(report: SweepReport, output_dir) -> list[Path]:
 
 
 def read_operations_csv(path) -> list[OperationRecord]:
-    """Parse operations.csv back into records (round-trip support)."""
+    """Parse operations.csv back into records (round-trip support).
+    Lines (LF or CRLF) split on commas, as write_report joins them,
+    unquoted; a wrong header or cell count is refused, naming the line."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = handle.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r} in {path}")
-        for row in reader:
+        for line_num, line in enumerate(handle, start=2):
+            row = line.rstrip("\r\n").split(",")
             if len(row) != len(CSV_HEADER):
                 raise ValueError(
-                    f"{path} line {reader.line_num}: expected "
+                    f"{path} line {line_num}: expected "
                     f"{len(CSV_HEADER)} cells, got {len(row)}")
             records.append(OperationRecord(
                 *(read(cell) for (_, _, read), cell in zip(_COLUMNS, row))))

@@ -295,12 +295,13 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
                 control_fields: tuple[str, str]) -> tuple[list, list, float]:
     """Entry checks of every run over its controls ``ks``: a valid plant,
     controls above the feasible floor and with a finite wear rate (a
-    refusal names the lowest or the highest control, ``control_fields``),
-    a finite dt no coarser than a tenth of the shortest phase, and a tick
-    budget that finishes each operation, in scan order.  An operation
-    steps one start tick, which raises RTB, then its ``oracle_ticks``, so
-    it needs a budget of their sum plus one.  Returns each control's
-    ``oracle_operation`` and ``oracle_ticks``, and the dt limit.
+    refusal names the lowest or highest control, ``control_fields``, or
+    t_nominal), a finite dt no coarser than a tenth of the shortest
+    phase, and a tick budget that finishes each operation, in scan order.
+    An operation steps one start tick, which raises RTB, then its
+    ``oracle_ticks``, so it needs a budget of their sum plus one.
+    Returns each control's ``oracle_operation`` and ``oracle_ticks``, and
+    the dt limit.
 
     The feasibility margin caps heating at about 3.04*C/h, so the dt
     limit also keeps dt below the explicit-Euler stability bound 2*C/h.
@@ -319,6 +320,9 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
     except OverflowError:  # k**alpha of the wear rate, largest at the top
         raise ValidationError(high, "the wear rate k**alpha overflows at "
                               f"{max(ks):g}") from None
+    if not wear_rate(max(ks), plant_cfg) < inf:
+        raise ValidationError("t_nominal", "the wear rate k**alpha/t_nominal"
+                              f" overflows at {max(ks):g}")
     limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
                 plant_cfg.batch_volume / plant_cfg.release_intensity,
                 *(op["heat_time"] for op in ops)) / 10.0

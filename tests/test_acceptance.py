@@ -18,6 +18,7 @@ from batchsim import (FlowVolumes, RangeScanner, SimClock, UnitCosts,
 
 from conftest import (make_reference_plant, make_reference_sweep,
                       operation_pulses)
+from test_blocks import reference_scan_sequence
 from test_kernel import PulseEvery
 
 # sha256 of the reference sweep's report files at dt=0.1.
@@ -162,21 +163,6 @@ def test_criterion_6_indicator_algebra(reference_plant, coarse_report):
              f"worst dual-route rel dev {worst_dual:.2e}")
 
 
-def _reference_scan(minimum, maximum, step_size, direction):
-    tol = 1e-9 * step_size
-    values, index = [], 0
-    while True:
-        raw = (minimum + index * step_size if direction == 0
-               else maximum - index * step_size)
-        boundary = (raw >= maximum - tol if direction == 0
-                    else raw <= minimum + tol)
-        if boundary:
-            values.append(maximum if direction == 0 else minimum)
-            return values
-        values.append(raw)
-        index += 1
-
-
 def test_criterion_7_scanner_protocol():
     rng = random.Random(1123581321)
     failures = []
@@ -186,7 +172,8 @@ def test_criterion_7_scanner_protocol():
         maximum = minimum + span
         step_size = rng.uniform(span / 50.0, span * 1.2)
         direction = rng.choice((0, 1))
-        expected = _reference_scan(minimum, maximum, step_size, direction)
+        expected = reference_scan_sequence(minimum, maximum, step_size,
+                                           direction)
 
         scanner = RangeScanner("control", minimum, maximum, step_size,
                                direction=direction, stop_on_boundary=True)

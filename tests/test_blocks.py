@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from batchsim import (Constant, IntervalTimer, InvalidRange, Multiplier,
                       PulseTrain, RangeScanner, ReportGenerator,
                       ResettableIntegrator, SimClock, Summator, build_graph,
-                      enumerate_scan_values, scan_value, step)
+                      enumerate_scan_values, step)
 
 from test_kernel import PulseAt, PulseEvery, SequenceSource
 
@@ -92,9 +92,13 @@ class TestRangeScanner:
         with pytest.raises(InvalidRange):
             enumerate_scan_values(minimum, maximum, step_size)
         with pytest.raises(InvalidRange):
-            scan_value(minimum, maximum, step_size, 0, 0)
-        with pytest.raises(InvalidRange):
             RangeScanner("control", minimum, maximum, step_size)
+
+    def test_scan_of_more_than_a_million_steps_rejected_at_construction(
+            self):
+        # 24 M points; the sweep planner refuses the same range.
+        with pytest.raises(InvalidRange, match="too small"):
+            RangeScanner("control", 0.6, 3.0, 1e-7)
 
     def test_descending_overshoot_clamps_on_lower_boundary(self):
         scanner = RangeScanner("control", 0.0, 5.0, 2.0, direction=1)

@@ -67,6 +67,17 @@ class TestParseConfig:
             parse_config(text)
         assert "fill_rate" in str(excinfo.value)
 
+    def test_too_fine_scan_step_names_k_step(self, tmp_path):
+        # 2.4 M points, above the one-million cap of a scan.
+        text = read_reference_text().replace("k_step = 0.2",
+                                             "k_step = 0.000001")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        for parse in (lambda: parse_config(text), lambda: load_config(cfg)):
+            with pytest.raises(ValidationError) as excinfo:
+                parse()
+            assert excinfo.value.field == "k_step"
+
     def test_sweep_defaults_apply(self):
         text = read_reference_text()
         for line in ("direction = ascending", "criterion = efficiency",
@@ -116,6 +127,12 @@ class TestWriteReport:
                           "re", "pe", "prf", "rnt", "r", "e"):
                 assert getattr(parsed, field) == pytest.approx(
                     getattr(original, field), rel=1e-8)
+
+    def test_crlf_line_endings_read_as_lf(self, small_report, tmp_path):
+        csv_path, _ = write_report(small_report, tmp_path)
+        lf = read_operations_csv(csv_path)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_operations_csv(csv_path) == lf
 
     def test_rewrite_is_byte_identical(self, small_report, tmp_path):
         first = tmp_path / "a"
@@ -223,7 +240,10 @@ class TestCli:
          "tick_budget 1000 cannot finish"),
         (("k_min = 0.6", "k_min = 0.5"), 1, "k_min=0.5 is below"),
         (("alpha = 3.0", "alpha = 1000"), 1, "k_max: the wear rate"),
-    ], ids=["reference", "batch_volume", "tick_budget", "k_min", "alpha"])
+        (("t_nominal = 3.6e6", "t_nominal = 1e-320"), 1,
+         "t_nominal: the wear rate"),
+    ], ids=["reference", "batch_volume", "tick_budget", "k_min", "alpha",
+            "t_nominal"])
     def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys,
                                                  edit, status, expected):
         text = read_reference_text()
@@ -240,6 +260,15 @@ class TestCli:
         if expected is not None:
             assert f"infeasible: {expected}" in out
             assert f"error: {expected}" in err
+
+    def test_validate_too_fine_scan_step_names_k_step(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(read_reference_text().replace("k_step = 0.2",
+                                                     "k_step = 0.000001"))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: k_step: scan step is too small for the range\n")
 
     def test_validate_bad_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -200,6 +200,20 @@ def test_unconnected_input_reads_zero():
     assert graph.value("s.OUT") == 0.0
 
 
+def test_read_of_an_undeclared_port_names_it():
+    # A misspelt port used to read 0 on every tick.
+    class Misspelt(Block):
+        input_ports = ("IN",)
+
+        def evaluate(self, clock):
+            self.read("In")
+
+    graph = build_graph([Constant("c", 1.0), Misspelt("b")],
+                        [("c.OUT", "b.IN")])
+    with pytest.raises(UnknownPort, match=r"^b\.In "):
+        step(graph, SimClock(dt=0.1))
+
+
 def test_time_exactness_no_drift():
     clock = SimClock(dt=0.1)
     for k in range(1, 100_001):

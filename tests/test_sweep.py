@@ -349,6 +349,29 @@ class TestRunSweep:
                       reference_sweep._replace(**sweep_edit))
         assert excinfo.value.field == "k_max"
 
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_single"])
+    def test_wear_rate_overflowing_through_t_nominal_names_it_at_entry(
+            self, reference_plant, reference_sweep, monkeypatch, entry):
+        # k**alpha is finite, but dividing it by a subnormal t_nominal is
+        # not: the run used to fail on wear_gen.OUT at tick 101.
+        monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        monkeypatch.setattr(sweep_module, "build_single_graph",
+                            _refuse_graph)
+        plant = reference_plant._replace(wear_t_nominal=1e-320)
+        with pytest.raises(ValidationError) as excinfo:
+            if entry == "run_sweep":
+                run_sweep(plant, reference_sweep)
+            else:
+                run_single(plant, 1.0)
+        assert excinfo.value.field == "t_nominal"
+
+    def test_too_fine_scan_step_names_k_step(self, reference_plant,
+                                             reference_sweep):
+        # 2.4 M points; the refusal used to be a bare InvalidRange.
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(reference_plant, reference_sweep._replace(k_step=1e-6))
+        assert excinfo.value.field == "k_step"
+
     @pytest.mark.parametrize("budget", [500, 39_000])
     def test_insufficient_budget_refused_before_any_tick(
             self, reference_plant, reference_sweep, monkeypatch, budget):
