@@ -95,19 +95,17 @@ def _cmd_validate(args) -> int:
     print(f"k_min_feasible: {feasible_control_range(plant_cfg):.9g}")
     print(f"predicted_operations: {len(ks)}")
     try:
-        ops, ticks, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
-                                           sweep_cfg.tick_budget,
-                                           ("k_min", "k_max"))
+        plan, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
+                                     sweep_cfg.tick_budget, ("k_min", "k_max"))
     except (ValidationError, SimulationError) as exc:
         print(f"infeasible: {exc}")
         return 1
-    at = dict(zip(ks, zip(ops, ticks)))
+    at = {op.control_k: op for op in plan}
     for end in ("k_min", "k_max"):
-        op, (fill, heat, release) = at[getattr(sweep_cfg, end)]
-        print(f"heating_time_at_{end}: {op['heat_time']:.9g}")
-        # The start tick raises RTB; the phases follow it.
-        print(f"ticks_at_{end}: {1 + fill + heat + release} (fill {fill}, "
-              f"heat {heat}, release {release})")
+        op = at[getattr(sweep_cfg, end)]
+        print(f"heating_time_at_{end}: {op.heat_time:.9g}")
+        print(f"ticks_at_{end}: {op.steps} (fill {op.fill}, "
+              f"heat {op.heat}, release {op.release})")
     print(f"dt_limit: {dt_limit:.9g}")
     return 0
 

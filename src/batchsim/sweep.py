@@ -10,8 +10,8 @@ never touch the tick engine, which makes them usable as independent
 checks on the simulated results and as a cheap dense scan when
 bracketing an extremum.  The discrete twin ``oracle_ticks`` replays the
 plant's per-tick updates instead, and so gives each phase's exact tick
-count: the entry check holds the tick budget to it, and a run steps each
-operation for exactly that many ticks.
+count: the entry check plans each operation from it, holds the tick
+budget to that plan, and a run steps each operation as planned.
 """
 
 from __future__ import annotations
@@ -50,15 +50,32 @@ class NoValidRecords(SimulationError):
 
 
 class TickBudgetExceeded(SimulationError):
-    """A run was refused before its first tick because an operation
-    steps more ticks than the tick budget.  ``control_k`` names that
-    operation's control when known."""
+    """A run refused before its first tick: the operation at
+    ``control_k`` steps more ticks than ``tick_budget``."""
 
-    def __init__(self, tick: int, message: str = "",
-                 control_k: float | None = None):
-        super().__init__(message or f"tick budget exhausted at tick {tick}")
-        self.tick = tick
+    def __init__(self, control_k: float, tick_budget: int):
+        super().__init__(
+            f"tick_budget {tick_budget} cannot finish the operation at "
+            f"control {control_k:g}, which steps more than {tick_budget} "
+            "ticks")
         self.control_k = control_k
+
+
+class OperationPlan(NamedTuple):
+    """One operation as the entry check plans it: its control, the
+    closed-form heating time and the twin's phase tick counts."""
+
+    control_k: float
+    heat_time: float
+    fill: int
+    heat: int
+    release: int
+
+    @property
+    def steps(self) -> int:
+        """Ticks the operation steps: a start tick, which raises RTB,
+        then its fill, heat and release ticks."""
+        return 1 + self.fill + self.heat + self.release
 
 
 class ExtremumResult(NamedTuple):
@@ -291,17 +308,15 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
 
 
 def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
-                tick_budget: int,
-                control_fields: tuple[str, str]) -> tuple[list, list, float]:
+                tick_budget: int, control_fields: tuple[str, str]
+                ) -> tuple[list[OperationPlan], float]:
     """Entry checks of every run over its controls ``ks``: a valid plant,
     controls above the feasible floor and with a finite wear rate (a
     refusal names the lowest or highest control, ``control_fields``, or
     t_nominal), a finite dt no coarser than a tenth of the shortest
-    phase, and a tick budget that finishes each operation, in scan order.
-    An operation steps one start tick, which raises RTB, then its
-    ``oracle_ticks``, so it needs a budget of their sum plus one.
-    Returns each control's ``oracle_operation`` and ``oracle_ticks``, and
-    the dt limit.
+    phase, and a tick budget that covers each operation's ``steps``, in
+    scan order.  Returns the plan, one ``OperationPlan`` per control in
+    scan order, and the dt limit.
 
     The feasibility margin caps heating at about 3.04*C/h, so the dt
     limit also keeps dt below the explicit-Euler stability bound 2*C/h.
@@ -315,52 +330,48 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
         raise InfeasibleRange(
             f"{low}={min(ks):g} is below the feasible control floor "
             f"{k_floor:g}")
+    # alpha >= 0, so the wear rate k**alpha/t_nominal is largest at the top.
     try:
-        ops = [oracle_operation(plant_cfg, k) for k in ks]
-    except OverflowError:  # k**alpha of the wear rate, largest at the top
+        top_wear = wear_rate(max(ks), plant_cfg)
+    except OverflowError:  # k**alpha
         raise ValidationError(high, "the wear rate k**alpha overflows at "
                               f"{max(ks):g}") from None
-    if not wear_rate(max(ks), plant_cfg) < inf:
+    if not top_wear < inf:
         raise ValidationError("t_nominal", "the wear rate k**alpha/t_nominal"
                               f" overflows at {max(ks):g}")
+    heat_times = [oracle_heating_time(plant_cfg, k) for k in ks]
     limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
                 plant_cfg.batch_volume / plant_cfg.release_intensity,
-                *(op["heat_time"] for op in ops)) / 10.0
+                *heat_times) / 10.0
     if dt > limit:
         raise ValidationError(
             "dt", f"must be at most {limit!r} s, a tenth of the shortest "
             f"phase, got {dt!r}")
-    ticks = []
-    for k in ks:
+    plan = []
+    for k, heat_time in zip(ks, heat_times):
         counts = oracle_ticks(plant_cfg, k, dt, tick_budget - 1)
         if counts is None:
-            raise TickBudgetExceeded(
-                0, f"tick_budget {tick_budget} cannot finish the operation at "
-                f"control {k:g}, which steps more than {tick_budget} ticks",
-                k)
-        ticks.append(counts)
-    return ops, ticks, limit
+            raise TickBudgetExceeded(k, tick_budget)
+        plan.append(OperationPlan(k, heat_time, *counts))
+    return plan, limit
 
 
-def _run(graph: BlockGraph, ks: list[float],
-         ticks: list[tuple[int, int, int]], dt: float, criterion: Criterion,
-         until_halt: bool) -> SweepReport:
-    """Run one operation per control in ``ks`` for the ticks
-    ``check_entry`` predicts: a start tick, which raises RTB, then its
-    ``oracle_ticks``.  An operation must end on its last tick with PTF;
-    with ``until_halt``, the tick after the last one must halt the graph.
-    Records come from the report latch, pulse events from the plant's
-    log."""
+def _run(graph: BlockGraph, plan: list[OperationPlan], dt: float,
+         criterion: Criterion, until_halt: bool) -> SweepReport:
+    """Run each operation of ``plan`` for its ``steps``.  An operation
+    must end on its last tick with PTF; with ``until_halt``, the tick
+    after the last one must halt the graph.  Records come from the
+    report latch, pulse events from the plant's log."""
     plant: BatchHeaterPlant = graph.block("plant")
     clock = SimClock(dt)
-    for n, (k, counts) in enumerate(zip(ks, ticks), start=1):
-        for _ in range(1 + sum(counts)):
+    for n, op in enumerate(plan, start=1):
+        for _ in range(op.steps):
             kernel.step(graph, clock)
         end = clock.tick_index - 1
         if plant.events[-1] != ("ptf", end):
             raise SimulationError(
-                f"operation {n} at control {k:g} did not end on its "
-                f"predicted tick {end}")
+                f"operation {n} at control {op.control_k:g} did not end on "
+                f"its predicted tick {end}")
     if until_halt:
         kernel.step(graph, clock)
         if not graph.halt_flag:
@@ -380,9 +391,9 @@ def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
     validate_sweep_config(sweep)
     ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
                                sweep.direction_code())
-    _, ticks, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget,
-                              ("k_min", "k_max"))
-    return _run(build_sweep_graph(plant_cfg, sweep), ks, ticks, dt,
+    plan, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget,
+                          ("k_min", "k_max"))
+    return _run(build_sweep_graph(plant_cfg, sweep), plan, dt,
                 BUILTIN_CRITERIA[sweep.criterion], sweep.stop_on_boundary)
 
 
@@ -393,7 +404,7 @@ def run_single(plant_cfg: PlantConfig, control_k: float,
     packaged as a one-record report."""
     _require_positive("control_k", control_k)
     validate_run_settings(criterion, tick_budget)
-    _, ticks, _ = check_entry(plant_cfg, [control_k], dt, tick_budget,
-                              ("control_k", "control_k"))
-    return _run(build_single_graph(plant_cfg, control_k), [control_k], ticks,
-                dt, BUILTIN_CRITERIA[criterion], False)
+    plan, _ = check_entry(plant_cfg, [control_k], dt, tick_budget,
+                          ("control_k", "control_k"))
+    return _run(build_single_graph(plant_cfg, control_k), plan, dt,
+                BUILTIN_CRITERIA[criterion], False)

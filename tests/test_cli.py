@@ -209,14 +209,21 @@ class TestWriteReport:
 
 
 class TestCli:
-    def test_validate_reference(self, capsys):
-        rc = main(["validate", "--config", str(REFERENCE_INI)])
+    @pytest.mark.parametrize("direction", ["ascending", "descending"])
+    def test_validate_reference(self, tmp_path, capsys, direction):
+        text = read_reference_text()
+        assert "direction = ascending" in text
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text.replace("direction = ascending",
+                                    f"direction = {direction}"))
+        rc = main(["validate", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "config: OK" in out
         assert "k_min_feasible: 0.525" in out
         assert "predicted_operations: 13" in out
         assert "heating_time_at_k_min:" in out
+        assert "heating_time_at_k_max:" in out
         assert ("ticks_at_k_min: 39676 (fill 100, heat 39475, release 100)"
                 in out)
         assert ("ticks_at_k_max: 4218 (fill 100, heat 4017, release 100)"

@@ -1,8 +1,10 @@
 """The package as a user meets it: a light import, the CLI run as a
-program, and public records that cannot change under their holder."""
+program, public records that cannot change under their holder, and
+source the oldest supported Python can parse."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 
@@ -58,3 +60,14 @@ def test_public_records_are_immutable(record, field, value):
     assert getattr(changed, field) == value
     assert getattr(record, field) == before
     assert changed._replace(**{field: before}) == record
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10; this refuses 3.11-only grammar such as
+    # except*, though not 3.11-only library calls.
+    sources = [path for top in ("src/batchsim", "tests", "perfbench")
+               for path in sorted((REPO_ROOT / top).rglob("*.py"))]
+    assert len(sources) > 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

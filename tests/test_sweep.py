@@ -381,7 +381,6 @@ class TestRunSweep:
             run_sweep(reference_plant,
                       reference_sweep._replace(tick_budget=budget))
         assert excinfo.value.control_k == pytest.approx(0.6)
-        assert excinfo.value.tick == 0
         assert "exhausted" not in str(excinfo.value)
         assert f"steps more than {budget} ticks" in str(excinfo.value)
 
@@ -477,7 +476,6 @@ class TestRunSingle:
         for run, k in refused:
             with pytest.raises(TickBudgetExceeded) as excinfo:
                 run()
-            assert excinfo.value.tick == 0
             assert excinfo.value.control_k == pytest.approx(k)
 
     def test_custom_criterion_threading(self, reference_plant):
@@ -557,6 +555,25 @@ class TestOracleTicks:
     def test_infeasible_control_refused(self, reference_plant):
         with pytest.raises(InfeasibleRange):
             oracle_ticks(reference_plant, 0.5, 0.1)
+
+    @pytest.mark.parametrize("direction", ["ascending", "descending"])
+    def test_plan_holds_the_twins_in_scan_order(
+            self, reference_plant, reference_sweep, coarse_report, direction):
+        sweep = reference_sweep._replace(direction=direction)
+        ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
+                                   sweep.direction_code())
+        plan, dt_limit = sweep_module.check_entry(
+            reference_plant, ks, 0.1, sweep.tick_budget, ("k_min", "k_max"))
+        assert [op.control_k for op in plan] == ks
+        for op in plan:
+            assert (op.fill, op.heat, op.release) == oracle_ticks(
+                reference_plant, op.control_k, 0.1)
+            assert op.heat_time == oracle_heating_time(reference_plant,
+                                                       op.control_k)
+        assert dt_limit == 1.0
+        # Every operation's steps, then the tick that halts the sweep.
+        last_tick = round(coarse_report.pulse_events[-1][1] / 0.1)
+        assert sum(op.steps for op in plan) + 1 == 146_227 == last_tick + 1
 
     @pytest.mark.parametrize("shift", [-1, 1], ids=["short", "long"])
     @pytest.mark.parametrize("path, num", [("sweep", 3), ("single", 1)])
