@@ -173,9 +173,9 @@ class RangeScanner(Block):
     through :func:`enumerate_scan_values`.  Each STR strobe emits the next
     point on OUT; the strobe that emits the last one, the far boundary,
     also raises the RPT level.  Strobes arriving after RPT never restart
-    the scan: with ``stop_on_boundary`` set they halt the whole system
-    instead, which in a strobe-per-operation protocol stops the run
-    right after the boundary operation completes.
+    the scan: with ``stop_on_boundary`` set they raise the graph's halt
+    flag instead, which a strobe-per-operation protocol reads as the end
+    of the run, right after the boundary operation completes.
     """
 
     input_ports = ("STR",)

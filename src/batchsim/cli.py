@@ -6,7 +6,7 @@
 
 ``sweep`` runs the full control-range scan and writes operations.csv plus
 summary.txt; ``run-once`` simulates a single operation at one control
-level; ``validate`` makes a default-dt sweep's entry checks without
+level; ``validate`` runs a default-dt sweep's own entry without
 simulating, so it refuses exactly what that sweep refuses at entry, and
 reports the feasible control floor, the predicted operation count, the
 closed-form heating times and the ticks an operation steps at the range
@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .blocks import enumerate_scan_values
 from .config import ParseError, ValidationError, load_config
 from .econ import BUILTIN_CRITERIA
 from .kernel import SimulationError
 from .plant import feasible_control_range
 from .reportio import write_report
-from .sweep import DEFAULT_DT, check_entry, run_single, run_sweep
+from .sweep import DEFAULT_DT, plan_sweep, run_single, run_sweep
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,17 +88,14 @@ def _cmd_run_once(args) -> int:
 
 def _cmd_validate(args) -> int:
     plant_cfg, sweep_cfg = load_config(args.config)
-    ks = enumerate_scan_values(sweep_cfg.k_min, sweep_cfg.k_max,
-                               sweep_cfg.k_step, sweep_cfg.direction_code())
     print("config: OK")
     print(f"k_min_feasible: {feasible_control_range(plant_cfg):.9g}")
-    print(f"predicted_operations: {len(ks)}")
     try:
-        plan, dt_limit = check_entry(plant_cfg, ks, DEFAULT_DT,
-                                     sweep_cfg.tick_budget, ("k_min", "k_max"))
-    except (ValidationError, SimulationError) as exc:
+        plan, dt_limit = plan_sweep(plant_cfg, sweep_cfg, DEFAULT_DT)
+    except ValidationError as exc:
         print(f"infeasible: {exc}")
         return 1
+    print(f"predicted_operations: {len(plan)}")
     at = {op.control_k: op for op in plan}
     for end in ("k_min", "k_max"):
         op = at[getattr(sweep_cfg, end)]

@@ -108,7 +108,7 @@ class Block:
         self._graph._fired.append((self.out, port))
 
     def request_halt(self) -> None:
-        """Ask the engine to stop the run after the current tick."""
+        """Raise the graph's halt flag; the caller decides what it means."""
         self._graph.halt_flag = True
 
     def evaluate(self, clock: SimClock) -> None:
@@ -229,8 +229,9 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
     """Advance the simulation by one tick.
 
     Pulses emitted on the previous tick are cleared first, then every
-    block evaluates once in plan order, then delay blocks latch.  A halt
-    requested by any block takes effect after the tick completes.
+    block evaluates once in plan order, then delay blocks latch.  A
+    block's halt request only sets ``graph.halt_flag``: ``step`` stops
+    nothing.
     """
     fired = graph._fired
     if fired:

@@ -41,24 +41,8 @@ _REPORT_SOURCES = ("control.OUT", "op_timer.TIM", "rtv_int.OUT",
                    "output_value.OUT")
 
 
-class InfeasibleRange(SimulationError):
-    """Requested control values fall outside the feasible range."""
-
-
 class NoValidRecords(SimulationError):
     """Extremum requested over a record set with no valid entries."""
-
-
-class TickBudgetExceeded(SimulationError):
-    """A run refused before its first tick: the operation at
-    ``control_k`` steps more ticks than ``tick_budget``."""
-
-    def __init__(self, control_k: float, tick_budget: int):
-        super().__init__(
-            f"tick_budget {tick_budget} cannot finish the operation at "
-            f"control {control_k:g}, which steps more than {tick_budget} "
-            "ticks")
-        self.control_k = control_k
 
 
 class OperationPlan(NamedTuple):
@@ -107,14 +91,17 @@ def oracle_heating_time(config: PlantConfig, control_k: float) -> float:
     Solves dT/dt = (k*P*eta - h*(T - T_amb)) / C from ambient up to the
     setpoint.  With losses the time is -(C/h)*ln(1 - h*dT/(k*P*eta));
     without losses it degrades to C*dT/(k*P*eta).  log1p keeps the h -> 0
-    limit numerically clean.
+    limit numerically clean.  A control whose delivered power does not
+    beat the losses at the setpoint is refused; the power is grouped as
+    the plant groups it, k*(P*eta), so the two refuse the same controls.
     """
-    power = control_k * config.heater_nominal_power * config.heater_efficiency
+    power = control_k * (config.heater_nominal_power
+                         * config.heater_efficiency)
     delta = config.setpoint - config.ambient_temp
     loss = config.loss_coeff * delta
     if power <= loss:
-        raise InfeasibleRange(
-            f"control {control_k:g} is infeasible: delivered power "
+        raise ValidationError(
+            "control_k", f"{control_k:g} is infeasible: delivered power "
             f"{power:g} W cannot overcome losses {loss:g} W at the setpoint")
     if config.loss_coeff == 0.0:
         return config.heat_capacity * delta / power
@@ -145,11 +132,10 @@ def oracle_ticks(config: PlantConfig, control_k: float, dt: float,
     equal a run's counts exactly.  (A ceil of the closed forms can be a
     tick short: the simulated temperature accumulates rounding.)  The
     replay counts at most ``limit`` ticks: a longer operation gives None.
+    A control that never heats the batch is refused by the closed form.
     """
+    oracle_heating_time(config, control_k)
     plant = BatchHeaterPlant("twin", config)
-    if not plant.reaches_setpoint(control_k):
-        raise InfeasibleRange(
-            f"control {control_k:g} never heats the batch to the setpoint")
     # One counter across the phases: each loop leaves it at the number
     # of operation ticks so far.
     ticks = islice(count(1), limit)
@@ -268,7 +254,7 @@ def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
     operation-complete pulse, delayed one tick to break the feedback
     loop, strobes the scanner to advance the control for the next
     operation.  With stop_on_boundary set, the strobe that follows the
-    boundary operation halts the system.
+    boundary operation raises the halt flag, which ``_run`` checks.
     """
     blocks, wires = _instrument_wiring(plant_cfg)
     blocks += [
@@ -310,13 +296,14 @@ def _assemble_records(report: ReportGenerator) -> list[OperationRecord]:
 def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
                 tick_budget: int, control_fields: tuple[str, str]
                 ) -> tuple[list[OperationPlan], float]:
-    """Entry checks of every run over its controls ``ks``: a valid plant,
-    controls above the feasible floor and with a finite wear rate (a
-    refusal names the lowest or highest control, ``control_fields``, or
-    t_nominal), a finite dt no coarser than a tenth of the shortest
-    phase, and a tick budget that covers each operation's ``steps``, in
-    scan order.  Returns the plan, one ``OperationPlan`` per control in
-    scan order, and the dt limit.
+    """Entry checks of every run over its controls ``ks``, each refusal a
+    ``ValidationError`` naming its field: a valid plant, controls above
+    the feasible floor and with a finite wear rate (the lowest or
+    highest control, ``control_fields``, or t_nominal), a finite dt no
+    coarser than a tenth of the shortest phase, and a tick_budget that
+    covers each operation's ``steps``, in scan order.
+    Returns the plan, one ``OperationPlan`` per control in scan order,
+    and the dt limit.
 
     The feasibility margin caps heating at about 3.04*C/h, so the dt
     limit also keeps dt below the explicit-Euler stability bound 2*C/h.
@@ -327,9 +314,8 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
     low, high = control_fields
     k_floor = feasible_control_range(plant_cfg)
     if min(ks) < k_floor:
-        raise InfeasibleRange(
-            f"{low}={min(ks):g} is below the feasible control floor "
-            f"{k_floor:g}")
+        raise ValidationError(low, f"{min(ks):g} is below the feasible "
+                              f"control floor {k_floor:g}")
     # alpha >= 0, so the wear rate k**alpha/t_nominal is largest at the top.
     try:
         top_wear = wear_rate(max(ks), plant_cfg)
@@ -351,7 +337,9 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
     for k, heat_time in zip(ks, heat_times):
         counts = oracle_ticks(plant_cfg, k, dt, tick_budget - 1)
         if counts is None:
-            raise TickBudgetExceeded(k, tick_budget)
+            raise ValidationError(
+                "tick_budget", f"{tick_budget} cannot finish the operation "
+                f"at control {k:g}, which steps more than {tick_budget} ticks")
         plan.append(OperationPlan(k, heat_time, *counts))
     return plan, limit
 
@@ -384,15 +372,23 @@ def _run(graph: BlockGraph, plan: list[OperationPlan], dt: float,
                        find_extremum(records, criterion), pulse_events, dt)
 
 
+def plan_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
+               dt: float) -> tuple[list[OperationPlan], float]:
+    """A sweep's entry: its checks over the scan points, then the plan
+    and dt limit of ``check_entry``.  ``batchsim validate`` calls it too,
+    so it refuses exactly what a sweep refuses."""
+    validate_sweep_config(sweep)
+    ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
+                               sweep.direction_code())
+    return check_entry(plant_cfg, ks, dt, sweep.tick_budget,
+                       ("k_min", "k_max"))
+
+
 def run_sweep(plant_cfg: PlantConfig, sweep: SweepConfig,
               dt: float = DEFAULT_DT) -> SweepReport:
     """Run one complete operation per scan point through the scanner's
     strobe protocol and rank the records."""
-    validate_sweep_config(sweep)
-    ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
-                               sweep.direction_code())
-    plan, _ = check_entry(plant_cfg, ks, dt, sweep.tick_budget,
-                          ("k_min", "k_max"))
+    plan, _ = plan_sweep(plant_cfg, sweep, dt)
     return _run(build_sweep_graph(plant_cfg, sweep), plan, dt,
                 BUILTIN_CRITERIA[sweep.criterion], sweep.stop_on_boundary)
 

@@ -238,14 +238,15 @@ class TestCli:
         rc = main(["validate", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "k_min=0.5" in out
+        assert ("infeasible: k_min: 0.5 is below the feasible control "
+                "floor 0.525\n") in out
 
     @pytest.mark.parametrize("edit, status, expected", [
         (None, 0, None),
         (("batch_volume = 10.0", "batch_volume = 0.5"), 1, "dt: must be"),
         (("tick_budget = 2000000", "tick_budget = 1000"), 1,
-         "tick_budget 1000 cannot finish"),
-        (("k_min = 0.6", "k_min = 0.5"), 1, "k_min=0.5 is below"),
+         "tick_budget: 1000 cannot finish the operation at control 0.6,"),
+        (("k_min = 0.6", "k_min = 0.5"), 1, "k_min: 0.5 is below"),
         (("alpha = 3.0", "alpha = 1000"), 1, "k_max: the wear rate"),
         (("t_nominal = 3.6e6", "t_nominal = 1e-320"), 1,
          "t_nominal: the wear rate"),

@@ -9,10 +9,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from batchsim import (BUILTIN_CRITERIA, Criterion, InfeasibleRange,
+from batchsim import (BUILTIN_CRITERIA, BatchHeaterPlant, Criterion,
                       NoValidRecords, OperationRecord, RangeScanner,
-                      SimulationError, SweepConfig, TickBudgetExceeded,
-                      ValidationError, enumerate_scan_values,
+                      SimulationError, SweepConfig, ValidationError,
+                      enumerate_scan_values,
                       feasible_control_range, find_extremum,
                       oracle_heating_time, oracle_operation, oracle_ticks,
                       run_single, run_sweep, sweep as sweep_module)
@@ -114,6 +114,31 @@ def twin_cases(draw):
 
 
 @st.composite
+def asymptote_cases(draw):
+    """A plant with losses and a control within 3 ulps of its asymptote
+    h*dT/(P*eta), where the delivered power meets the losses."""
+    ambient = draw(st.floats(-10.0, 30.0))
+    plant = make_reference_plant()._replace(
+        ambient_temp=ambient, setpoint=ambient + draw(st.floats(10.0, 80.0)),
+        heater_nominal_power=draw(st.floats(500.0, 5000.0)),
+        heater_efficiency=draw(st.floats(0.5, 1.0)),
+        loss_coeff=draw(st.floats(0.1, 20.0)))
+    k = (plant.loss_coeff * (plant.setpoint - plant.ambient_temp)
+         / (plant.heater_nominal_power * plant.heater_efficiency))
+    return plant, k + draw(st.integers(-3, 3)) * math.ulp(k)
+
+
+def _refuses(twin, plant, k, *args):
+    """Whether ``twin`` refuses control ``k`` as infeasible."""
+    try:
+        twin(plant, k, *args)
+    except ValidationError as exc:
+        assert exc.field == "control_k"
+        return True
+    return False
+
+
+@st.composite
 def feasible_cases(draw):
     """A random feasible plant, a 3-point ascending sweep with controls
     between 1.2x and 3x the feasible floor, and dt a twentieth of the
@@ -194,8 +219,9 @@ class TestHeatingOracle:
 
     def test_infeasible_control_raises(self):
         cfg = make_reference_plant()  # needs k > 0.5 to beat losses
-        with pytest.raises(InfeasibleRange):
+        with pytest.raises(ValidationError) as excinfo:
             oracle_heating_time(cfg, 0.4)
+        assert excinfo.value.field == "control_k"
 
     def test_oracle_operation_volumes(self):
         cfg = make_reference_plant()._replace(loss_coeff=0.0,
@@ -266,15 +292,17 @@ class TestRunSweep:
 
     def test_infeasible_range_rejected(self, reference_plant):
         sweep = SweepConfig(k_min=0.1, k_max=0.4, k_step=0.1)
-        with pytest.raises(InfeasibleRange):
+        with pytest.raises(ValidationError) as excinfo:
             run_sweep(reference_plant, sweep)
+        assert excinfo.value.field == "k_min"
 
     def test_tick_budget_names_offending_control(self, reference_plant,
                                                  reference_sweep):
         sweep = reference_sweep._replace(tick_budget=500)
-        with pytest.raises(TickBudgetExceeded) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             run_sweep(reference_plant, sweep)
-        assert excinfo.value.control_k == pytest.approx(0.6)
+        assert excinfo.value.field == "tick_budget"
+        assert "at control 0.6," in str(excinfo.value)
 
     def test_stop_without_boundary_halt_uses_record_count(
             self, reference_plant, reference_sweep, coarse_report):
@@ -377,10 +405,11 @@ class TestRunSweep:
             self, reference_plant, reference_sweep, monkeypatch, budget):
         # An operation at control 0.6 steps 39,676 ticks.
         monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
-        with pytest.raises(TickBudgetExceeded) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             run_sweep(reference_plant,
                       reference_sweep._replace(tick_budget=budget))
-        assert excinfo.value.control_k == pytest.approx(0.6)
+        assert excinfo.value.field == "tick_budget"
+        assert "at control 0.6," in str(excinfo.value)
         assert "exhausted" not in str(excinfo.value)
         assert f"steps more than {budget} ticks" in str(excinfo.value)
 
@@ -392,10 +421,11 @@ class TestRunSweep:
         # single run, and 39,000 stops the sweep at its first operation.
         single = run_single(reference_plant, 0.8, tick_budget=40_000)
         assert len(single.records) == 1
-        with pytest.raises(TickBudgetExceeded) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             run_sweep(reference_plant,
                       reference_sweep._replace(tick_budget=39_000))
-        assert excinfo.value.control_k == pytest.approx(0.6)
+        assert excinfo.value.field == "tick_budget"
+        assert "at control 0.6," in str(excinfo.value)
 
     def test_repeat_run_bit_identical(self, reference_plant, reference_sweep,
                                       coarse_report):
@@ -415,8 +445,9 @@ class TestRunSingle:
         assert report.extremum.index == 0
 
     def test_single_below_floor_rejected(self, reference_plant):
-        with pytest.raises(InfeasibleRange):
+        with pytest.raises(ValidationError) as excinfo:
             run_single(reference_plant, 0.3)
+        assert excinfo.value.field == "control_k"
 
     @pytest.mark.parametrize("dt", BAD_DTS)
     def test_bad_dt_rejected_at_entry(self, reference_plant, dt):
@@ -474,9 +505,10 @@ class TestRunSingle:
             (lambda: run_single(reference_plant, 1.0,
                                 tick_budget=single_need - 1), 1.0)]
         for run, k in refused:
-            with pytest.raises(TickBudgetExceeded) as excinfo:
+            with pytest.raises(ValidationError) as excinfo:
                 run()
-            assert excinfo.value.control_k == pytest.approx(k)
+            assert excinfo.value.field == "tick_budget"
+            assert f"at control {k:g}," in str(excinfo.value)
 
     def test_custom_criterion_threading(self, reference_plant):
         report = run_single(reference_plant, 1.0, criterion="value_added")
@@ -553,8 +585,23 @@ class TestOracleTicks:
         assert oracle_ticks(reference_plant, 1.0, 0.1, 0) is None
 
     def test_infeasible_control_refused(self, reference_plant):
-        with pytest.raises(InfeasibleRange):
+        with pytest.raises(ValidationError) as excinfo:
             oracle_ticks(reference_plant, 0.5, 0.1)
+        assert excinfo.value.field == "control_k"
+
+    @settings(max_examples=200, deadline=None)
+    @given(asymptote_cases())
+    @example((make_reference_plant()._replace(heater_efficiency=0.9),
+              950 / 1800))
+    def test_twins_and_plant_give_one_verdict_at_the_asymptote(self, case):
+        # In the example k*(P*eta), as the plant groups it, is exactly
+        # the 950 W lost at the setpoint, so all three refuse; (k*P)*eta
+        # rounds 1 ulp above it.
+        plant, k = case
+        refused = _refuses(oracle_heating_time, plant, k)
+        assert _refuses(oracle_ticks, plant, k, 0.1, 0) == refused
+        assert BatchHeaterPlant("plant", plant).reaches_setpoint(k) \
+            != refused
 
     @pytest.mark.parametrize("direction", ["ascending", "descending"])
     def test_plan_holds_the_twins_in_scan_order(
