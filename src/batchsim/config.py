@@ -73,12 +73,10 @@ def _to_int(field: str, raw: str) -> int:
 
 
 def _to_bool(field: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(field, f"not a boolean: {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValidationError(field, f"not a boolean: {raw!r}") from None
 
 
 # Key converters by field type, as reportio's column codecs.

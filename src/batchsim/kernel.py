@@ -21,6 +21,7 @@ fixes each operation's length before its first tick.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from math import isfinite
 from typing import Sequence
 
@@ -160,11 +161,12 @@ def build_graph(blocks: Sequence[Block],
     """Validate blocks and wires and fix a tick evaluation order.
 
     ``wires`` are ``("src.PORT", "dst.PORT")`` pairs.  The evaluation
-    order is a topological sort over non-delayed edges; wires into a
-    ``breaks_cycle`` block impose no ordering because such blocks consume
-    their inputs after the tick, in :meth:`Block.latch`.  A block can
-    belong to one graph only.  Every declared input is bound: unwired
-    ones to the graph's one zero source, which nothing writes.
+    order is a topological order over non-delayed wires, where independent
+    blocks run in the order their wiring makes them ready; a cycle of such
+    wires is an :class:`AlgebraicLoop` that names it.  A wire into a
+    ``breaks_cycle`` block orders nothing: it is read after the tick, in
+    :meth:`Block.latch`.  A block can belong to one graph only.  Every
+    declared input is bound: unwired ones to the one zero source.
     """
     by_name: dict[str, Block] = {}
     for b in blocks:
@@ -180,7 +182,8 @@ def build_graph(blocks: Sequence[Block],
     zero = ({"OUT": 0.0}, "OUT")
     sources: dict[str, dict[str, tuple[dict[str, float], str]]] = {
         b.name: dict.fromkeys(b.input_ports, zero) for b in blocks}
-    edges: dict[str, set[str]] = {b.name: set() for b in blocks}
+    # Non-delayed predecessors, in dicts: a set's order follows the hash seed.
+    preds: dict[str, dict[str, None]] = {b.name: {} for b in blocks}
     for src_ref, dst_ref in wires:
         src_name, src_port = _parse_endpoint(src_ref)
         dst_name, dst_port = _parse_endpoint(dst_ref)
@@ -194,27 +197,13 @@ def build_graph(blocks: Sequence[Block],
             raise MultipleDrivers(f"input {dst_ref!r} has more than one driver")
         sources[dst_name][dst_port] = (src.out, src_port)
         if not dst.breaks_cycle:
-            edges[src_name].add(dst_name)
+            preds[dst_name][src_name] = None
 
-    # Kahn topological sort; the seed queue follows insertion order so a
-    # given construction is fully deterministic.
-    indegree = {name: 0 for name in by_name}
-    for outs in edges.values():
-        for dst in outs:
-            indegree[dst] += 1
-    queue = [name for name in by_name if indegree[name] == 0]
-    order: list[str] = []
-    while queue:
-        name = queue.pop(0)
-        order.append(name)
-        for dst in sorted(edges[name]):
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                queue.append(dst)
-    if len(order) != len(by_name):
-        cyclic = sorted(name for name, deg in indegree.items() if deg > 0)
-        raise AlgebraicLoop(
-            "wiring cycle without a unit delay involving: " + ", ".join(cyclic))
+    try:
+        order = list(TopologicalSorter(preds).static_order())
+    except CycleError as exc:
+        raise AlgebraicLoop("wiring cycle without a unit delay: "
+                            + " -> ".join(exc.args[1])) from None
 
     plan = [by_name[name] for name in order]
     latch_plan = [b for b in plan if type(b).latch is not Block.latch]

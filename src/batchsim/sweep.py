@@ -126,7 +126,7 @@ def oracle_operation(config: PlantConfig, control_k: float) -> dict[str, float]:
 
 
 def oracle_ticks(config: PlantConfig, control_k: float, dt: float,
-                 limit: int | None = None) -> tuple[int, int, int] | None:
+                 limit: int) -> tuple[int, int, int] | None:
     """Fill, heat and release tick counts of one operation at
     ``control_k``, by replaying the plant's own per-tick updates, so they
     equal a run's counts exactly.  (A ceil of the closed forms can be a
@@ -179,23 +179,16 @@ def find_extremum(records: list[OperationRecord],
                   criterion: Criterion) -> ExtremumResult:
     """Index of the maximal criterion score among valid records.
 
-    Ties break toward the lower control level: at equal merit the
-    gentler mode wins.
+    Ties break toward the lower control level (at equal merit the
+    gentler mode wins), then toward the earlier record, which max keeps.
     """
-    best_i = -1
-    best_score = 0.0
-    for i, rec in enumerate(records):
-        if not rec.valid:
-            continue
-        score = criterion.score(rec)
-        if (best_i < 0 or score > best_score
-                or (score == best_score
-                    and rec.control_k < records[best_i].control_k)):
-            best_i = i
-            best_score = score
-    if best_i < 0:
+    def rank(i: int) -> tuple[float, float]:
+        return criterion.score(records[i]), -records[i].control_k
+    best = max((i for i, rec in enumerate(records) if rec.valid),
+               key=rank, default=None)
+    if best is None:
         raise NoValidRecords("no valid operation records to rank")
-    return ExtremumResult(best_i, records[best_i].control_k, best_score)
+    return ExtremumResult(best, records[best].control_k, rank(best)[0])
 
 
 def _instrument_wiring(plant_cfg: PlantConfig) -> tuple[list, list]:

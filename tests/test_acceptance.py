@@ -15,6 +15,7 @@ from batchsim import (FlowVolumes, RangeScanner, SimClock, UnitCosts,
                       aggregate_costs, build_graph, enumerate_scan_values,
                       oracle_cost_curve, oracle_heating_time, oracle_ticks,
                       run_single, run_sweep, step, wear_rate, write_report)
+from batchsim.config import DEFAULT_TICK_BUDGET
 
 from conftest import (make_reference_plant, make_reference_sweep,
                       operation_pulses)
@@ -267,7 +268,7 @@ def _twin_pulse_events(plant, ks, dt, stray_start):
     halting tick."""
     events, tick = [], 0
     for k in ks:
-        fill, heat, release = oracle_ticks(plant, k, dt)
+        fill, heat, release = oracle_ticks(plant, k, dt, DEFAULT_TICK_BUDGET)
         for channel, ticks in (("rtb", 0), ("rtf", fill), ("red", heat),
                                ("ptf", release)):
             tick += ticks

@@ -86,6 +86,25 @@ class TestParseConfig:
         _, sweep = parse_config(text)
         assert sweep == SweepConfig(k_min=0.6, k_max=3.0, k_step=0.2)
 
+    @pytest.mark.parametrize("raw, value", [
+        (spelling, flag) for flag, spellings in (
+            (True, ("1", "yes", "true", "on")),
+            (False, ("0", "no", "false", "off")))
+        for word in spellings
+        for spelling in (word, f"  {word.upper()}  ", word.title())])
+    def test_stop_on_boundary_reads_configparser_booleans(self, raw, value):
+        text = read_reference_text().replace("stop_on_boundary = true",
+                                             f"stop_on_boundary = {raw}")
+        assert parse_config(text)[1].stop_on_boundary is value
+
+    @pytest.mark.parametrize("raw", ["maybe", "2", ""])
+    def test_stop_on_boundary_refuses_other_values(self, raw):
+        text = read_reference_text().replace("stop_on_boundary = true",
+                                             f"stop_on_boundary = {raw}")
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.field == "sweep.stop_on_boundary"
+
     def test_validators_cover_field_constraints(self):
         plant = make_reference_plant()
         validate_plant_config(plant)  # reference passes

@@ -4,7 +4,11 @@ halt handling and determinism."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +16,9 @@ from hypothesis import given, strategies as st
 from batchsim import (AlgebraicLoop, Block, Constant, Multiplier,
                       MultipleDrivers, NumericFault, ResettableIntegrator,
                       SimClock, SimulationError, Summator, UnitDelay,
-                      UnknownPort, build_graph, step)
+                      UnknownPort, build_graph, step, sweep)
+
+from conftest import REPO_ROOT, make_reference_plant, make_reference_sweep
 
 
 class PulseAt(Block):
@@ -82,10 +88,13 @@ def test_two_node_chain_builds_and_orders():
 
 
 def test_cycle_without_delay_is_algebraic_loop():
-    blocks = [Multiplier("a"), Multiplier("b")]
-    wires = [("a.OUT", "b.IN1"), ("b.OUT", "a.IN1")]
-    with pytest.raises(AlgebraicLoop):
+    # c is fed by the cycle but not in it, so the error must not name it.
+    blocks = [Multiplier("a"), Multiplier("b"), Multiplier("c")]
+    wires = [("a.OUT", "b.IN1"), ("b.OUT", "a.IN1"), ("a.OUT", "c.IN1")]
+    with pytest.raises(AlgebraicLoop) as excinfo:
         build_graph(blocks, wires)
+    named = str(excinfo.value).rpartition(": ")[2].split(" -> ")
+    assert set(named) == {"a", "b"}
 
 
 def test_cycle_with_unit_delay_is_accepted():
@@ -295,3 +304,44 @@ def test_rebuild_leaves_no_stale_wiring():
     graph = build_graph([a, b, s], [("b.OUT", "s.IN2")])
     step(graph, SimClock(dt=0.1))
     assert graph.value("s.OUT") == 5.0
+
+
+def _ordered_graphs():
+    """Both run graphs, and a fan-in listed sink first, whose sources
+    would come out in hash-seed order if the sort kept them in a set."""
+    fan_in = [Summator("sum", n_inputs=8)] + [Constant(f"c{i}", 1.0)
+                                             for i in range(8)]
+    return {"sweep": sweep.build_sweep_graph(make_reference_plant(),
+                                             make_reference_sweep()),
+            "single": sweep.build_single_graph(make_reference_plant(), 1.0),
+            "fan_in": build_graph(fan_in, [(f"c{i}.OUT", f"sum.IN{i + 1}")
+                                           for i in range(8)])}
+
+
+_GRAPH_ORDERS = f"""
+import json, sys
+sys.path[:0] = [{str(REPO_ROOT / 'src')!r}, {str(REPO_ROOT / 'tests')!r}]
+from test_kernel import _ordered_graphs
+print(json.dumps({{name: graph.evaluation_order()
+                  for name, graph in _ordered_graphs().items()}}))
+"""
+
+
+def test_evaluation_order_is_topological_and_ignores_the_hash_seed():
+    orders = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _GRAPH_ORDERS], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        orders.append(json.loads(done.stdout))
+    graphs = _ordered_graphs()
+    assert orders[0] == orders[1] == {
+        name: graph.evaluation_order() for name, graph in graphs.items()}
+    # Every non-delayed wire's source evaluates before its destination.
+    for graph in graphs.values():
+        position = {id(b.out): i for i, b in enumerate(graph._plan)}
+        for i, b in enumerate(graph._plan):
+            if not b.breaks_cycle:
+                assert all(position.get(id(out), -1) < i
+                           for out, _ in b._sources.values()), b.name

@@ -71,3 +71,19 @@ def test_sources_parse_as_python_3_10():
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_package_imports_only_the_standard_library():
+    # The package has no dependencies: every import is relative or names
+    # a standard-library module (sys.stdlib_module_names is 3.10+).
+    for path in sorted((REPO_ROOT / "src" / "batchsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (
+                    f"{path.name} imports {name}")

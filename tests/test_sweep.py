@@ -16,6 +16,7 @@ from batchsim import (BUILTIN_CRITERIA, BatchHeaterPlant, Criterion,
                       feasible_control_range, find_extremum,
                       oracle_heating_time, oracle_operation, oracle_ticks,
                       run_single, run_sweep, sweep as sweep_module)
+from batchsim.config import DEFAULT_TICK_BUDGET
 
 from conftest import make_reference_plant, operation_pulses
 
@@ -48,7 +49,7 @@ def _refuse_graph(*args):
 def _budget_needed(plant, k, dt):
     """Ticks one operation steps: its start tick, then the twin's fill,
     heat and release ticks."""
-    return 1 + sum(oracle_ticks(plant, k, dt))
+    return 1 + sum(oracle_ticks(plant, k, dt, DEFAULT_TICK_BUDGET))
 
 
 def _phase_ticks(report):
@@ -188,9 +189,13 @@ class TestFindExtremum:
         assert (result.index, result.control_k, result.score) == (1, 1.0, 3.0)
 
     def test_tie_breaks_toward_lower_control(self):
-        records = [_record(1, 2.0, 2.0), _record(2, 1.0, 2.0)]
-        result = find_extremum(records, self.CRITERION)
-        assert result.index == 1 and result.control_k == 1.0
+        # The second case is a full tie, same score and control: the
+        # first record wins.
+        for records, index in (
+                ([_record(1, 2.0, 2.0), _record(2, 1.0, 2.0)], 1),
+                ([_record(1, 1.0, 2.0), _record(2, 1.0, 2.0)], 0)):
+            result = find_extremum(records, self.CRITERION)
+            assert result.index == index and result.control_k == 1.0
 
     def test_all_invalid_raises(self):
         records = [_record(1, 1.0, 1.0)._replace(valid=False)]
@@ -569,14 +574,15 @@ class TestOracleTicks:
     def test_twin_equals_simulated_ticks(self, case):
         plant, k, dt = case
         report = run_single(plant, k, dt=dt)
-        twin = oracle_ticks(plant, k, dt)
+        twin = oracle_ticks(plant, k, dt, DEFAULT_TICK_BUDGET)
         assert _phase_ticks(report) == twin
         assert report.records[0].t_op == sum(twin) * dt
 
     def test_round_plant_is_where_the_closed_form_falls_short(self):
         heat_s = oracle_heating_time(ROUND_PLANT, 0.5)
         assert math.ceil(heat_s / 0.1) == 1000
-        assert oracle_ticks(ROUND_PLANT, 0.5, 0.1) == (100, 1001, 100)
+        assert oracle_ticks(ROUND_PLANT, 0.5, 0.1,
+                            DEFAULT_TICK_BUDGET) == (100, 1001, 100)
 
     def test_replay_stops_at_the_limit(self, reference_plant):
         need = _budget_needed(reference_plant, 1.0, 0.1)
@@ -584,9 +590,19 @@ class TestOracleTicks:
         assert oracle_ticks(reference_plant, 1.0, 0.1, need - 2) is None
         assert oracle_ticks(reference_plant, 1.0, 0.1, 0) is None
 
+    def test_replay_that_stalls_below_the_setpoint_ends_at_the_limit(self):
+        # 1 ulp above the asymptote the closed form heats for about
+        # 79,410 s, but the replayed Euler temperature stalls just below
+        # the 70.0 setpoint, so only the limit ends the replay.
+        plant = make_reference_plant()._replace(heater_efficiency=0.9)
+        k = math.nextafter(950 / 1800, 1)
+        assert oracle_heating_time(plant, k) == pytest.approx(79_409.86,
+                                                              abs=0.01)
+        assert oracle_ticks(plant, k, 1.0, 1_000_000) is None
+
     def test_infeasible_control_refused(self, reference_plant):
         with pytest.raises(ValidationError) as excinfo:
-            oracle_ticks(reference_plant, 0.5, 0.1)
+            oracle_ticks(reference_plant, 0.5, 0.1, DEFAULT_TICK_BUDGET)
         assert excinfo.value.field == "control_k"
 
     @settings(max_examples=200, deadline=None)
@@ -614,7 +630,7 @@ class TestOracleTicks:
         assert [op.control_k for op in plan] == ks
         for op in plan:
             assert (op.fill, op.heat, op.release) == oracle_ticks(
-                reference_plant, op.control_k, 0.1)
+                reference_plant, op.control_k, 0.1, DEFAULT_TICK_BUDGET)
             assert op.heat_time == oracle_heating_time(reference_plant,
                                                        op.control_k)
         assert dt_limit == 1.0
