@@ -2,11 +2,11 @@
 
     batchsim sweep    --config cfg.ini --out results/ [--criterion name] [--dt s]
     batchsim run-once --config cfg.ini --out results/ [--k value] [--dt s]
-    batchsim validate --config cfg.ini
+    batchsim validate --config cfg.ini [--dt s]
 
 ``sweep`` runs the full control-range scan and writes operations.csv plus
 summary.txt; ``run-once`` simulates a single operation at one control
-level; ``validate`` runs a default-dt sweep's own entry without
+level; ``validate`` runs the entry of a sweep at the same dt without
 simulating, so it refuses exactly what that sweep refuses at entry, and
 reports the feasible control floor, the predicted operation count, the
 closed-form heating times and the ticks an operation steps at the range
@@ -36,22 +36,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
                         help="path to the INI config document")
+    common.add_argument("--dt", type=float, default=DEFAULT_DT,
+                        help="simulation step in seconds (default %(default)s)")
 
     sweep = sub.add_parser("sweep", parents=[common],
                            help="run the control-range sweep")
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.add_argument("--criterion", choices=sorted(BUILTIN_CRITERIA),
                        help="override the optimization criterion")
-    sweep.add_argument("--dt", type=float, default=DEFAULT_DT,
-                       help="simulation step in seconds (default %(default)s)")
 
     once = sub.add_parser("run-once", parents=[common],
                           help="simulate a single operation")
     once.add_argument("--out", required=True, help="output directory")
     once.add_argument("--k", type=float, default=1.0,
                       help="control level (default %(default)s)")
-    once.add_argument("--dt", type=float, default=DEFAULT_DT,
-                      help="simulation step in seconds (default %(default)s)")
 
     sub.add_parser("validate", parents=[common],
                    help="check a config without simulating")
@@ -91,7 +89,7 @@ def _cmd_validate(args) -> int:
     print("config: OK")
     print(f"k_min_feasible: {feasible_control_range(plant_cfg):.9g}")
     try:
-        plan, dt_limit = plan_sweep(plant_cfg, sweep_cfg, DEFAULT_DT)
+        plan, dt_limit = plan_sweep(plant_cfg, sweep_cfg, args.dt)
     except ValidationError as exc:
         print(f"infeasible: {exc}")
         return 1

@@ -17,6 +17,15 @@ Two kinds of signal travel over the same wires:
 :func:`step` advances a built graph by one tick and is the engine's one
 entry.  How many ticks make a run is the caller's to know: the sweep
 fixes each operation's length before its first tick.
+
+Each tick's work is fixed at build.  :func:`build_graph` binds, in plan
+order, the ``evaluate`` of every block whose class overrides
+:meth:`Block.evaluate` and the ``latch`` of every block whose class
+overrides :meth:`Block.latch`.  A block without its own ``evaluate``,
+such as a constant source, is never called per tick, and patching a
+class's ``evaluate`` or ``latch`` after the build does not reach graphs
+already built.  The finite screen still covers every port that holds a
+value, constant sources included.
 """
 
 from __future__ import annotations
@@ -129,11 +138,14 @@ class BlockGraph:
     fixes the per-tick evaluation order.
     """
 
-    def __init__(self, blocks: dict[str, Block], plan: list[Block],
-                 latch_plan: list[Block]):
+    def __init__(self, blocks: dict[str, Block], plan: list[Block]):
         self._blocks = blocks
         self._plan = plan
-        self._latch_plan = latch_plan
+        self._evaluates = [b.evaluate for b in plan
+                           if type(b).evaluate is not Block.evaluate]
+        self._latches = [b.latch for b in plan
+                         if type(b).latch is not Block.latch]
+        self._views = [b.out.values() for b in plan if b.out]
         self._fired: list[tuple[dict[str, float], str]] = []
         self.halt_flag = False
 
@@ -167,6 +179,12 @@ def build_graph(blocks: Sequence[Block],
     ``breaks_cycle`` block orders nothing: it is read after the tick, in
     :meth:`Block.latch`.  A block can belong to one graph only.  Every
     declared input is bound: unwired ones to the one zero source.
+
+    The graph's per-tick lists are bound here too: the ``evaluate`` of
+    each block whose class overrides :meth:`Block.evaluate`, the
+    ``latch`` of each block whose class overrides :meth:`Block.latch`,
+    and a view of the ports of each block that has outputs.  A class
+    patched after this call does not reach the returned graph.
     """
     by_name: dict[str, Block] = {}
     for b in blocks:
@@ -206,8 +224,7 @@ def build_graph(blocks: Sequence[Block],
                             + " -> ".join(exc.args[1])) from None
 
     plan = [by_name[name] for name in order]
-    latch_plan = [b for b in plan if type(b).latch is not Block.latch]
-    graph = BlockGraph(by_name, plan, latch_plan)
+    graph = BlockGraph(by_name, plan)
     for b in plan:
         b._sources = sources[b.name]
         b._graph = graph
@@ -218,9 +235,11 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
     """Advance the simulation by one tick.
 
     Pulses emitted on the previous tick are cleared first, then every
-    block evaluates once in plan order, then delay blocks latch.  A
-    block's halt request only sets ``graph.halt_flag``: ``step`` stops
-    nothing.
+    block with its own ``evaluate`` evaluates once in plan order, then
+    delay blocks latch, through the methods bound at build.  Then every
+    port that holds a value is screened: a non-finite one raises
+    :class:`NumericFault`.  A block's halt request only sets
+    ``graph.halt_flag``: ``step`` stops nothing.
     """
     fired = graph._fired
     if fired:
@@ -228,15 +247,15 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
             out[port] = 0.0
         fired.clear()
 
-    for b in graph._plan:
-        b.evaluate(clock)
-    for b in graph._latch_plan:
-        b.latch()
+    for evaluate in graph._evaluates:
+        evaluate(clock)
+    for latch in graph._latches:
+        latch()
 
     # Finite screen: v - v is 0.0 for every finite v and NaN for inf/NaN,
     # which keeps the per-tick cost of the check low.
-    for b in graph._plan:
-        for v in b.out.values():
+    for values in graph._views:
+        for v in values:
             if v - v != 0.0:
                 _raise_numeric_fault(graph, clock)
 

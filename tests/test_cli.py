@@ -288,6 +288,19 @@ class TestCli:
             assert f"infeasible: {expected}" in out
             assert f"error: {expected}" in err
 
+    @pytest.mark.parametrize("dt", ["2.0", "nan"])
+    def test_validate_takes_the_sweep_dt(self, tmp_path, capsys, dt):
+        # validate used to check the default dt only, so a dt that the
+        # sweep refuses passed it.
+        assert main(["validate", "--config", str(REFERENCE_INI),
+                     "--dt", dt]) == 1
+        out = capsys.readouterr().out
+        assert main(["sweep", "--config", str(REFERENCE_INI),
+                     "--out", str(tmp_path / "results"), "--dt", dt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dt: ")
+        assert out.endswith("infeasible: " + err.removeprefix("error: "))
+
     def test_validate_too_fine_scan_step_names_k_step(self, tmp_path,
                                                       capsys):
         cfg = tmp_path / "cfg.ini"

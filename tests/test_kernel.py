@@ -17,6 +17,7 @@ from batchsim import (AlgebraicLoop, Block, Constant, Multiplier,
                       MultipleDrivers, NumericFault, ResettableIntegrator,
                       SimClock, SimulationError, Summator, UnitDelay,
                       UnknownPort, build_graph, step, sweep)
+from batchsim.plant import HEATING
 
 from conftest import REPO_ROOT, make_reference_plant, make_reference_sweep
 
@@ -156,6 +157,10 @@ def test_unit_delay_shifts_by_one_tick():
     ([NanAt("bad", 4), Summator("s", n_inputs=1)], [("bad.OUT", "s.IN1")],
      ("bad", "OUT", 4)),
     ([Constant("c", math.nan)], [], ("c", "OUT", 0)),
+    # A constant evaluates nothing per tick, yet the screen still sees it.
+    ([Constant("one", 1.0), Summator("s", n_inputs=1),
+      Constant("hot", math.inf)], [("one.OUT", "s.IN1")], ("hot", "OUT", 0)),
+    ([Constant("cold", -math.inf)], [], ("cold", "OUT", 0)),
     ([Constant("a", 1e200), Constant("b", 1e200), Multiplier("m")],
      [("a.OUT", "m.IN1"), ("b.OUT", "m.IN2")], ("m", "OUT", 0)),
     # Every port is finite though their sum overflows: the screen checks
@@ -164,7 +169,8 @@ def test_unit_delay_shifts_by_one_tick():
       Multiplier("m2")],
      [("big.OUT", "m1.IN1"), ("one.OUT", "m1.IN2"),
       ("big.OUT", "m2.IN1"), ("one.OUT", "m2.IN2")], None),
-], ids=["nan_at_tick_4", "nan_constant", "overflowing_product",
+], ids=["nan_at_tick_4", "nan_constant", "inf_constant_beside_others",
+        "minus_inf_constant", "overflowing_product",
         "finite_ports_with_overflowing_sum"])
 def test_numeric_fault_names_block_and_tick(blocks, wires, fault):
     graph = build_graph(blocks, wires)
@@ -179,6 +185,68 @@ def test_numeric_fault_names_block_and_tick(blocks, wires, fault):
             step(graph, clock)
     exc = excinfo.value
     assert (exc.block, exc.port, exc.tick) == fault
+
+
+def test_constant_subclass_with_its_own_evaluate_runs_every_tick():
+    class Ramp(Constant):
+        def evaluate(self, clock):
+            self.out["OUT"] = float(clock.tick_index)
+
+    graph = build_graph([Ramp("r", 0.0), Summator("s", n_inputs=1)],
+                        [("r.OUT", "s.IN1")])
+    clock = SimClock(dt=0.1)
+    seen = []
+    for _ in range(4):
+        step(graph, clock)
+        seen.append(graph.value("s.OUT"))
+    assert seen == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_subclass_that_inherits_evaluate_is_evaluated():
+    class Gain(Multiplier):
+        pass
+
+    graph = build_graph([Constant("a", 2.0), Constant("b", 3.0), Gain("g")],
+                        [("a.OUT", "g.IN1"), ("b.OUT", "g.IN2")])
+    step(graph, SimClock(dt=0.1))
+    assert graph.value("g.OUT") == 6.0
+
+
+def test_class_patched_after_build_does_not_reach_the_graph(monkeypatch):
+    # The per-tick methods are bound at build.
+    graph = build_graph([Constant("a", 2.0), Multiplier("m")],
+                        [("a.OUT", "m.IN1"), ("a.OUT", "m.IN2")])
+    monkeypatch.setattr(Multiplier, "evaluate", lambda self, clock: None)
+    step(graph, SimClock(dt=0.1))
+    assert graph.value("m.OUT") == 4.0
+
+
+def test_heating_tick_makes_at_most_49_calls():
+    # An exact count, not a timing, so per-tick work cannot creep back
+    # unnoticed: 74 before the per-tick lists were bound at build.  It
+    # counts every Python and C call the tick makes, step itself included.
+    graph = sweep.build_sweep_graph(make_reference_plant(),
+                                    make_reference_sweep())
+    clock = SimClock(dt=0.1)
+    for _ in range(500):
+        step(graph, clock)
+    assert graph.block("plant").phase == HEATING
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for _ in range(1000):
+            step(graph, clock)
+        per_tick = calls / 1000
+    finally:
+        sys.setprofile(None)
+    assert graph.block("plant").phase == HEATING
+    assert per_tick <= 49
 
 
 def test_halt_flag_is_set_by_the_halting_tick():
