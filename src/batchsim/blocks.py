@@ -96,7 +96,8 @@ class UnitDelay(Block):
         self.out["OUT"] = self._state
 
     def latch(self) -> None:
-        self._state = self.read("IN")
+        (src, key), = self._in
+        self._state = src[key]
 
 
 class Multiplier(Block):
@@ -106,7 +107,8 @@ class Multiplier(Block):
     output_ports = ("OUT",)
 
     def evaluate(self, clock: SimClock) -> None:
-        self.out["OUT"] = self.read("IN1") * self.read("IN2")
+        (a, ka), (b, kb) = self._in
+        self.out["OUT"] = a[ka] * b[kb]
 
 
 class Summator(Block):
@@ -120,8 +122,8 @@ class Summator(Block):
 
     def evaluate(self, clock: SimClock) -> None:
         total = 0.0
-        for port in self.input_ports:
-            total += self.read(port)
+        for src, key in self._in:
+            total += src[key]
         self.out["OUT"] = total
 
 
@@ -136,9 +138,10 @@ class ResettableIntegrator(Block):
     output_ports = ("OUT",)
 
     def evaluate(self, clock: SimClock) -> None:
+        (inp, ki), (res, kr) = self._in
         out = self.out
-        acc = 0.0 if self.read("RES") > 0.5 else out["OUT"]
-        out["OUT"] = acc + self.read("IN") * clock.dt
+        acc = 0.0 if res[kr] > 0.5 else out["OUT"]
+        out["OUT"] = acc + inp[ki] * clock.dt
 
 
 class IntervalTimer(Block):
@@ -159,9 +162,10 @@ class IntervalTimer(Block):
         self._start_tick: int | None = None
 
     def evaluate(self, clock: SimClock) -> None:
-        if self.read("STR") > 0.5:
+        (strobe, ks), (fin, kf) = self._in
+        if strobe[ks] > 0.5:
             self._start_tick = clock.tick_index
-        if self.read("FIN") > 0.5 and self._start_tick is not None:
+        if fin[kf] > 0.5 and self._start_tick is not None:
             self.out["TIM"] = (clock.tick_index - self._start_tick) * clock.dt
             self._start_tick = None
 
@@ -190,7 +194,8 @@ class RangeScanner(Block):
         self._emitted = 0
 
     def evaluate(self, clock: SimClock) -> None:
-        if self.read("STR") <= 0.5:
+        (strobe, key), = self._in
+        if strobe[key] <= 0.5:
             return
         if self.out["RPT"]:
             if self.stop_on_boundary:
@@ -216,7 +221,7 @@ class ReportGenerator(Block):
         self.rows: list[tuple[float, ...]] = []
 
     def evaluate(self, clock: SimClock) -> None:
-        if self.read("STR") <= 0.5:
+        strobe, key = self._in[0]
+        if strobe[key] <= 0.5:
             return
-        self.rows.append(tuple(self.read(port)
-                               for port in self.input_ports[1:]))
+        self.rows.append(tuple(src[k] for src, k in self._in[1:]))

@@ -89,7 +89,10 @@ class Block:
     names); an output becomes a one-tick pulse through :meth:`pulse`.
     ``breaks_cycle`` marks delay-style blocks whose output does
     not depend on the current tick's inputs; only such blocks may close
-    feedback loops.  Port values live in the plain dict ``out``.
+    feedback loops.  Port values live in the plain dict ``out``: write
+    into it, never rebind it, as the graph reads and screens the dict
+    bound at build.  User blocks read inputs through :meth:`read`; the
+    built-ins read ``_in``, the slots bound at build, in port order.
     """
 
     input_ports: tuple[str, ...] = ()
@@ -100,6 +103,7 @@ class Block:
         self.name = name
         self.out: dict[str, float] = {p: 0.0 for p in self.output_ports}
         self._sources: dict[str, tuple[dict[str, float], str]] = {}
+        self._in: tuple[tuple[dict[str, float], str], ...] = ()
         self._graph: BlockGraph | None = None
 
     def read(self, port: str) -> float:
@@ -146,6 +150,7 @@ class BlockGraph:
         self._latches = [b.latch for b in plan
                          if type(b).latch is not Block.latch]
         self._views = [b.out.values() for b in plan if b.out]
+        self._outs = [(b, b.out) for b in plan]
         self._fired: list[tuple[dict[str, float], str]] = []
         self.halt_flag = False
 
@@ -159,6 +164,14 @@ class BlockGraph:
 
     def evaluation_order(self) -> list[str]:
         return [b.name for b in self._plan]
+
+    def check_outs(self) -> None:
+        """Raise :class:`SimulationError` naming a block whose ``out`` is
+        no longer the dict bound at build; :func:`step` never looks."""
+        for b, out in self._outs:
+            if b.out is not out:
+                raise SimulationError(
+                    f"block {b.name!r} rebound its out dict")
 
 
 def _parse_endpoint(ref: str) -> tuple[str, str]:
@@ -178,7 +191,8 @@ def build_graph(blocks: Sequence[Block],
     wires is an :class:`AlgebraicLoop` that names it.  A wire into a
     ``breaks_cycle`` block orders nothing: it is read after the tick, in
     :meth:`Block.latch`.  A block can belong to one graph only.  Every
-    declared input is bound: unwired ones to the one zero source.
+    declared input is bound: unwired ones to the one zero source.  A
+    block's ``_in`` holds its ``_sources`` slots in ``input_ports`` order.
 
     The graph's per-tick lists are bound here too: the ``evaluate`` of
     each block whose class overrides :meth:`Block.evaluate`, the
@@ -227,6 +241,7 @@ def build_graph(blocks: Sequence[Block],
     graph = BlockGraph(by_name, plan)
     for b in plan:
         b._sources = sources[b.name]
+        b._in = tuple(b._sources.values())
         b._graph = graph
     return graph
 

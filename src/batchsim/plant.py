@@ -140,9 +140,10 @@ class BatchHeaterPlant(Block):
         dt = clock.dt
         phase = self.phase
         rt = rp = pt = 0.0
+        (cl, key), = self._in
 
         if phase == HEATING:
-            k = self.read("CL")
+            k = cl[key]
             rp = k * self._p_nom
             out["TMP"], done = self.heat_tick(out["TMP"], k, dt)
             if done:
@@ -159,7 +160,7 @@ class BatchHeaterPlant(Block):
                 self.phase = IDLE
                 self._phase_pulse("PTF", clock)
         else:  # IDLE
-            k = self.read("CL")
+            k = cl[key]
             if k > 0.0:
                 if not self.reaches_setpoint(k):
                     raise NeverReachesSetpoint(k, clock.tick_index)
@@ -236,7 +237,8 @@ class WearRateGenerator(Block):
         self._alpha = alpha
 
     def evaluate(self, clock: SimClock) -> None:
-        rate = self.read("IN")
+        (src, key), = self._in
+        rate = src[key]
         if rate > 0.0:
             k = rate / self._nominal
             self.out["OUT"] = k ** self._alpha / self._t_n

@@ -340,14 +340,16 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
 def _run(graph: BlockGraph, plan: list[OperationPlan], dt: float,
          criterion: Criterion, until_halt: bool) -> SweepReport:
     """Run each operation of ``plan`` for its ``steps``.  An operation
-    must end on its last tick with PTF; with ``until_halt``, the tick
-    after the last one must halt the graph.  Records come from the
-    report latch, pulse events from the plant's log."""
+    must end on its last tick with PTF and every ``out`` as bound at
+    build; with ``until_halt``, the tick after the last one must halt
+    the graph.  Records come from the report latch, pulse events from
+    the plant's log."""
     plant: BatchHeaterPlant = graph.block("plant")
     clock = SimClock(dt)
     for n, op in enumerate(plan, start=1):
         for _ in range(op.steps):
             kernel.step(graph, clock)
+        graph.check_outs()
         end = clock.tick_index - 1
         if plant.events[-1] != ("ptf", end):
             raise SimulationError(

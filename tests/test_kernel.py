@@ -221,12 +221,9 @@ def test_class_patched_after_build_does_not_reach_the_graph(monkeypatch):
     assert graph.value("m.OUT") == 4.0
 
 
-def test_heating_tick_makes_at_most_49_calls():
-    # An exact count, not a timing, so per-tick work cannot creep back
-    # unnoticed: 74 before the per-tick lists were bound at build.  It
-    # counts every Python and C call the tick makes, step itself included.
-    graph = sweep.build_sweep_graph(make_reference_plant(),
-                                    make_reference_sweep())
+def _calls_per_heating_tick(graph):
+    """Every Python and C call a heating tick makes, ``step`` itself
+    included, averaged over 1000 ticks after 500 that reach heating."""
     clock = SimClock(dt=0.1)
     for _ in range(500):
         step(graph, clock)
@@ -246,7 +243,43 @@ def test_heating_tick_makes_at_most_49_calls():
     finally:
         sys.setprofile(None)
     assert graph.block("plant").phase == HEATING
-    assert per_tick <= 49
+    return per_tick
+
+
+def test_heating_tick_makes_at_most_21_calls():
+    # An exact count, not a timing, so per-tick work cannot creep back
+    # unnoticed: 74 before the per-tick lists were bound at build, 49
+    # before the built-in blocks read their bound input slots.
+    graph = sweep.build_sweep_graph(make_reference_plant(),
+                                    make_reference_sweep())
+    assert _calls_per_heating_tick(graph) <= 21
+
+
+def test_single_graph_heating_tick_makes_at_most_16_calls():
+    # 40 before the built-in blocks read their bound input slots.
+    graph = sweep.build_single_graph(make_reference_plant(), 1.0)
+    assert _calls_per_heating_tick(graph) <= 16
+
+
+def test_a_block_that_rebinds_out_leaves_step_but_not_check_outs():
+    # Reads and the finite screen use the dicts bound at build, so bare
+    # step neither reads nor screens a rebound out; check_outs names it.
+    class Leaves(Block):
+        output_ports = ("OUT",)
+
+        def evaluate(self, clock):
+            self.out = {"OUT": math.inf if clock.tick_index == 2 else 1.0}
+
+    graph = build_graph([Leaves("src"), Summator("sink", n_inputs=1)],
+                        [("src.OUT", "sink.IN1")])
+    clock = SimClock(dt=0.1)
+    seen = []
+    for _ in range(4):
+        step(graph, clock)
+        seen.append(graph.value("sink.OUT"))
+    assert seen == [0.0] * 4
+    with pytest.raises(SimulationError, match=r"^block 'src' rebound its out"):
+        graph.check_outs()
 
 
 def test_halt_flag_is_set_by_the_halting_tick():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from batchsim import (BUILTIN_CRITERIA, BatchHeaterPlant, Criterion,
                       NoValidRecords, OperationRecord, RangeScanner,
                       SimulationError, SweepConfig, ValidationError,
-                      enumerate_scan_values,
+                      WearRateGenerator, enumerate_scan_values,
                       feasible_control_range, find_extremum,
                       oracle_heating_time, oracle_operation, oracle_ticks,
                       run_single, run_sweep, sweep as sweep_module)
@@ -344,6 +344,25 @@ class TestRunSweep:
         monkeypatch.setattr(RangeScanner, "request_halt", lambda self: None)
         with pytest.raises(SimulationError, match="did not halt"):
             run_sweep(reference_plant, reference_sweep, dt=1.0)
+
+    @pytest.mark.parametrize("path", ["sweep", "single"])
+    def test_a_block_that_rebinds_out_is_refused_by_name(
+            self, reference_plant, reference_sweep, monkeypatch, path):
+        # The graph reads and screens the out dicts bound at build, so the
+        # inf written into a rebound dict is neither read nor screened;
+        # the run checks every block's out once per operation instead.
+        def leave_the_graph(self, clock):
+            self.out = {"OUT": math.inf}
+
+        monkeypatch.setattr(WearRateGenerator, "evaluate", leave_the_graph)
+        with pytest.raises(SimulationError) as excinfo:
+            if path == "sweep":
+                run_sweep(reference_plant, reference_sweep, dt=1.0)
+            else:
+                run_single(reference_plant, 1.0, dt=1.0)
+        assert excinfo.type is SimulationError
+        assert str(excinfo.value).startswith(
+            "block 'wear_gen' rebound its out dict")
 
     def test_dt_refusal_reads_apart_from_the_limit(self, reference_plant,
                                                    reference_sweep):
