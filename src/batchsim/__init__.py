@@ -15,8 +15,8 @@ from .econ import (BUILTIN_CRITERIA, Criterion, FlowVolumes,
                    OperationEvaluator, OperationRecord, aggregate_costs,
                    compute_indicators)
 from .sweep import (DEFAULT_DT, ExtremumResult, NoValidRecords, SweepReport,
-                    find_extremum, oracle_cost_curve, oracle_heating_time,
-                    oracle_operation, oracle_ticks, run_single, run_sweep)
+                    find_extremum, oracle_heating_time, oracle_operation,
+                    oracle_ticks, run_single, run_sweep)
 from .config import (ParseError, SweepConfig, ValidationError, load_config,
                      parse_config, validate_plant_config,
                      validate_sweep_config)

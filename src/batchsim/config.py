@@ -158,6 +158,9 @@ def validate_sweep_config(sweep: SweepConfig) -> None:
         raise ValidationError(
             "direction", f"must be 'ascending' or 'descending', "
             f"got {sweep.direction!r}")
+    if not isinstance(sweep.stop_on_boundary, bool):
+        raise ValidationError("stop_on_boundary", f"must be a bool, "
+                              f"got {sweep.stop_on_boundary!r}")
     validate_run_settings(sweep.criterion, sweep.tick_budget)
 
 

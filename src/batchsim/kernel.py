@@ -62,21 +62,14 @@ class NumericFault(SimulationError):
 
 
 class SimClock:
-    """Simulation time base.
-
-    ``t`` is derived from the tick count, so repeated addition can never
-    accumulate drift: t == tick_index * dt exactly.
-    """
+    """Simulation time base: the step ``dt`` and ``tick_index``, the
+    number of ticks stepped so far, which :func:`step` advances."""
 
     __slots__ = ("dt", "tick_index")
 
-    def __init__(self, dt: float, tick_index: int = 0):
+    def __init__(self, dt: float):
         self.dt = dt
-        self.tick_index = tick_index
-
-    @property
-    def t(self) -> float:
-        return self.tick_index * self.dt
+        self.tick_index = 0
 
     def advance(self) -> None:
         self.tick_index += 1
@@ -91,8 +84,9 @@ class Block:
     not depend on the current tick's inputs; only such blocks may close
     feedback loops.  Port values live in the plain dict ``out``: write
     into it, never rebind it, as the graph reads and screens the dict
-    bound at build.  User blocks read inputs through :meth:`read`; the
-    built-ins read ``_in``, the slots bound at build, in port order.
+    bound at build.  ``_in`` holds one ``(out dict, key)`` slot per entry
+    of ``input_ports``, bound by :func:`build_graph`: the built-ins
+    subscript it, and user blocks read a port by name through :meth:`read`.
     """
 
     input_ports: tuple[str, ...] = ()
@@ -102,7 +96,6 @@ class Block:
     def __init__(self, name: str):
         self.name = name
         self.out: dict[str, float] = {p: 0.0 for p in self.output_ports}
-        self._sources: dict[str, tuple[dict[str, float], str]] = {}
         self._in: tuple[tuple[dict[str, float], str], ...] = ()
         self._graph: BlockGraph | None = None
 
@@ -110,8 +103,8 @@ class Block:
         """Current value on an input port.  A port the block does not
         declare, or any port before :func:`build_graph`, raises UnknownPort."""
         try:
-            out, key = self._sources[port]
-        except KeyError:
+            out, key = self._in[self.input_ports.index(port)]
+        except (ValueError, IndexError):
             raise UnknownPort(
                 f"{self.name}.{port} is not a bound input") from None
         return out[key]
@@ -192,7 +185,7 @@ def build_graph(blocks: Sequence[Block],
     ``breaks_cycle`` block orders nothing: it is read after the tick, in
     :meth:`Block.latch`.  A block can belong to one graph only.  Every
     declared input is bound: unwired ones to the one zero source.  A
-    block's ``_in`` holds its ``_sources`` slots in ``input_ports`` order.
+    block's ``_in`` holds one slot per entry of ``input_ports``, in order.
 
     The graph's per-tick lists are bound here too: the ``evaluate`` of
     each block whose class overrides :meth:`Block.evaluate`, the
@@ -240,8 +233,7 @@ def build_graph(blocks: Sequence[Block],
     plan = [by_name[name] for name in order]
     graph = BlockGraph(by_name, plan)
     for b in plan:
-        b._sources = sources[b.name]
-        b._in = tuple(b._sources.values())
+        b._in = tuple(sources[b.name][port] for port in b.input_ports)
         b._graph = graph
     return graph
 

@@ -20,7 +20,7 @@ from itertools import count, islice
 from math import inf, log1p
 from typing import NamedTuple
 
-from . import econ, kernel
+from . import kernel
 from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
                      RangeScanner, ReportGenerator, ResettableIntegrator,
                      Summator, UnitDelay, enumerate_scan_values)
@@ -160,19 +160,6 @@ def oracle_ticks(config: PlantConfig, control_k: float, dt: float,
     else:
         return None
     return fill, heat - fill, release - heat
-
-
-def oracle_cost_curve(config: PlantConfig,
-                      ks: list[float]) -> list[tuple[float, float]]:
-    """(k, input cost) pairs from the closed forms, for dense scans."""
-    curve = []
-    for k in ks:
-        op = oracle_operation(config, k)
-        re, _ = econ.aggregate_costs(
-            econ.FlowVolumes(op["rtv"], op["rpv"], op["ptv"], op["rwv"]),
-            config.unit_costs)
-        curve.append((k, re))
-    return curve
 
 
 def find_extremum(records: list[OperationRecord],

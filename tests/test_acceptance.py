@@ -13,7 +13,7 @@ import time
 
 from batchsim import (FlowVolumes, RangeScanner, SimClock, UnitCosts,
                       aggregate_costs, build_graph, enumerate_scan_values,
-                      oracle_cost_curve, oracle_heating_time, oracle_ticks,
+                      oracle_heating_time, oracle_operation, oracle_ticks,
                       run_single, run_sweep, step, wear_rate, write_report)
 from batchsim.config import DEFAULT_TICK_BUDGET
 
@@ -84,6 +84,14 @@ def test_criterion_2_wear_growth_and_cost_crossover(reference_plant,
              f"cost difference spans [{min(diffs):.3f}, {max(diffs):.3f}]")
 
 
+def _oracle_input_cost(plant, k):
+    """Input cost of one operation at ``k`` from the closed forms."""
+    op = oracle_operation(plant, k)
+    return aggregate_costs(
+        FlowVolumes(op["rtv"], op["rpv"], op["ptv"], op["rwv"]),
+        plant.unit_costs)[0]
+
+
 def test_criterion_3_interior_cost_minimum(reference_plant, reference_sweep):
     started = time.perf_counter()
     report = run_sweep(reference_plant, reference_sweep, dt=0.1)
@@ -94,8 +102,8 @@ def test_criterion_3_interior_cost_minimum(reference_plant, reference_sweep):
     unimodal = (_strictly_decreasing(res[:coarse_index + 1])
                 and _strictly_increasing(res[coarse_index:]))
     dense_ks = [0.6 + 0.01 * i for i in range(241)]
-    dense = oracle_cost_curve(reference_plant, dense_ks)
-    dense_k = min(dense, key=lambda pair: pair[1])[0]
+    dense_k = min(dense_ks,
+                  key=lambda k: _oracle_input_cost(reference_plant, k))
     elapsed = time.perf_counter() - started
     ok = (interior and unimodal and abs(dense_k - coarse_k) <= 0.2
           and elapsed < 60.0)

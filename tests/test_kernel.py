@@ -11,7 +11,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
 
 from batchsim import (AlgebraicLoop, Block, Constant, Multiplier,
                       MultipleDrivers, NumericFault, ResettableIntegrator,
@@ -324,21 +323,51 @@ def test_read_of_an_undeclared_port_names_it():
         step(graph, SimClock(dt=0.1))
 
 
-def test_time_exactness_no_drift():
-    clock = SimClock(dt=0.1)
-    for k in range(1, 100_001):
-        clock.advance()
-        assert clock.t == k * 0.1  # bit-exact by construction
+def test_read_before_build_names_the_port():
+    with pytest.raises(UnknownPort, match=r"^m\.IN2 "):
+        Multiplier("m").read("IN2")
 
 
-@given(st.floats(min_value=1e-6, max_value=10.0,
-                 allow_nan=False, allow_infinity=False),
-       st.integers(min_value=1, max_value=5000))
-def test_time_exactness_property(dt, n):
-    clock = SimClock(dt=dt)
-    for _ in range(n):
-        clock.advance()
-    assert clock.t == n * dt
+_DRIVEN = {"A": 1.0, "B": 2.0, "C": 3.0}
+
+
+@pytest.mark.parametrize("ports, wires", [
+    (("A", "B", "C"), [("c.OUT", "u.C"), ("a.OUT", "u.A"), ("b.OUT", "u.B")]),
+    # A port declared twice must not shift the slots after it.
+    (("A", "A", "B"), [("a.OUT", "u.A"), ("b.OUT", "u.B")]),
+], ids=["wired_out_of_order", "declared_twice"])
+def test_read_finds_each_input_by_name(ports, wires):
+    class ReadsByName(Block):
+        input_ports = ports
+
+        def evaluate(self, clock):
+            self.seen = {port: self.read(port) for port in self.input_ports}
+
+    user = ReadsByName("u")
+    build_graph([Constant(name.lower(), value)
+                 for name, value in _DRIVEN.items()] + [user], wires)
+    step(user._graph, SimClock(dt=0.1))
+    assert user.seen == {port: _DRIVEN[port] for port in ports}
+
+
+@pytest.mark.parametrize("path", ["sweep", "single"])
+def test_run_graph_inputs_read_their_own_graph_but_two_report_channels(path):
+    plant = make_reference_plant()
+    graph = (sweep.build_sweep_graph(plant, make_reference_sweep())
+             if path == "sweep" else sweep.build_single_graph(plant, 1.0))
+    outs = {id(b.out) for b in graph._plan}
+    unwired = {}
+    for b in graph._plan:
+        for port, (out, key) in zip(b.input_ports, b._in, strict=True):
+            if id(out) in outs:
+                assert key in out, f"{b.name}.{port}"
+            else:
+                unwired[f"{b.name}.{port}"] = (out, key)
+    # The report latch has ten channels and the runs wire eight: the
+    # other two read the one zero source.
+    assert list(unwired) == ["report.IN9", "report.IN10"]
+    (zero, key), (other, _) = unwired.values()
+    assert zero is other and (zero, key) == ({"OUT": 0.0}, "OUT")
 
 
 def _diamond_blocks():
@@ -445,4 +474,4 @@ def test_evaluation_order_is_topological_and_ignores_the_hash_seed():
         for i, b in enumerate(graph._plan):
             if not b.breaks_cycle:
                 assert all(position.get(id(out), -1) < i
-                           for out, _ in b._sources.values()), b.name
+                           for out, _ in b._in), b.name

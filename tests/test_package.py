@@ -1,6 +1,7 @@
 """The package as a user meets it: a light import, the CLI run as a
-program, public records that cannot change under their holder, and
-source the oldest supported Python can parse."""
+program, public records that cannot change under their holder, source
+the oldest supported Python can parse, and every name the benchmark
+harness reads."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import batchsim
 from batchsim import ExtremumResult, OperationRecord, SweepReport
 
 from conftest import (REFERENCE_INI, REPO_ROOT, make_reference_plant,
@@ -87,3 +89,17 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (
                     f"{path.name} imports {name}")
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # perfbench imports the package as ``bs``: a name gone from it would
+    # otherwise first show in the benchmark's own smoke test.
+    names = set()
+    for path in sorted((REPO_ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "bs"):
+                names.add(node.attr)
+    assert len(names) > 10
+    assert sorted(name for name in names if not hasattr(batchsim, name)) == []

@@ -15,7 +15,8 @@ from batchsim import (BUILTIN_CRITERIA, BatchHeaterPlant, Criterion,
                       WearRateGenerator, enumerate_scan_values,
                       feasible_control_range, find_extremum,
                       oracle_heating_time, oracle_operation, oracle_ticks,
-                      run_single, run_sweep, sweep as sweep_module)
+                      run_single, run_sweep, sweep as sweep_module,
+                      validate_sweep_config)
 from batchsim.config import DEFAULT_TICK_BUDGET
 
 from conftest import make_reference_plant, operation_pulses
@@ -308,6 +309,19 @@ class TestRunSweep:
             run_sweep(reference_plant, sweep)
         assert excinfo.value.field == "tick_budget"
         assert "at control 0.6," in str(excinfo.value)
+
+    @pytest.mark.parametrize("flag", ["false", "", 0, 1, None])
+    def test_stop_on_boundary_that_is_no_bool_is_refused_at_entry(
+            self, reference_plant, reference_sweep, monkeypatch, flag):
+        # The text "false" is truthy: it used to run as if the flag were
+        # set, stepping one more tick than parse_config's False.
+        monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        sweep = reference_sweep._replace(stop_on_boundary=flag)
+        for entry in (lambda: run_sweep(reference_plant, sweep),
+                      lambda: validate_sweep_config(sweep)):
+            with pytest.raises(ValidationError) as excinfo:
+                entry()
+            assert excinfo.value.field == "stop_on_boundary"
 
     def test_stop_without_boundary_halt_uses_record_count(
             self, reference_plant, reference_sweep, coarse_report):
