@@ -20,6 +20,6 @@ from .sweep import (DEFAULT_DT, ExtremumResult, NoValidRecords, SweepReport,
 from .config import (ParseError, SweepConfig, ValidationError, load_config,
                      parse_config, validate_plant_config,
                      validate_sweep_config)
-from .reportio import (CSV_HEADER, read_operations_csv, write_report)
+from .reportio import CSV_HEADER, write_report
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from .kernel import Block, SimClock, SimulationError
 
 
 class InvalidRange(SimulationError):
-    """Scan range empty or not finite, step not finite and positive, or
-    more than a million steps."""
+    """Scan range empty or not finite, step not finite and positive, more
+    than a million steps, or a direction or stop flag not 0 or 1."""
 
 
 # Relative slack used when deciding that a scan value has reached the far
@@ -36,8 +36,10 @@ def enumerate_scan_values(minimum: float, maximum: float, step: float,
     code that produces a scan: the scanner block, the sweep planner and
     the validators all take their points from here.  Refuses a range
     that is empty or not finite, a step that is not finite and positive,
-    and more than a million steps.
+    more than a million steps, and a ``direction`` other than 0 or 1.
     """
+    if direction not in (0, 1):
+        raise InvalidRange(f"direction must be 0 or 1, got {direction!r}")
     if not (-inf < minimum < maximum < inf and 0.0 < step < inf):  # NaN fails
         raise InvalidRange(
             f"scan range requires finite minimum < maximum and finite "
@@ -174,12 +176,13 @@ class RangeScanner(Block):
     """Linear scanner stepping a control signal across a range.
 
     The construction takes the points, and refuses a bad range, once
-    through :func:`enumerate_scan_values`.  Each STR strobe emits the next
-    point on OUT; the strobe that emits the last one, the far boundary,
-    also raises the RPT level.  Strobes arriving after RPT never restart
-    the scan: with ``stop_on_boundary`` set they raise the graph's halt
-    flag instead, which a strobe-per-operation protocol reads as the end
-    of the run, right after the boundary operation completes.
+    through :func:`enumerate_scan_values`, and refuses a non-bool
+    ``stop_on_boundary``.  Each STR strobe emits the next point on OUT;
+    the strobe that emits the last one, the far boundary, also raises the
+    RPT level.  Strobes after RPT never restart the scan: with
+    ``stop_on_boundary`` set they raise the graph's halt flag instead,
+    which a strobe-per-operation protocol reads as the end of the run,
+    right after the boundary operation completes.
     """
 
     input_ports = ("STR",)
@@ -190,6 +193,9 @@ class RangeScanner(Block):
         super().__init__(name)
         self.points = enumerate_scan_values(float(minimum), float(maximum),
                                             float(step), direction)
+        if stop_on_boundary not in (0, 1):
+            raise InvalidRange(f"stop_on_boundary must be a bool, "
+                               f"got {stop_on_boundary!r}")
         self.stop_on_boundary = bool(stop_on_boundary)
         self._emitted = 0
 

@@ -120,12 +120,10 @@ class OperationEvaluator(Block):
     output_ports = ("PRF", "RNT", "R", "E")
 
     def evaluate(self, clock: SimClock) -> None:
-        if self.read("FIN") <= 0.5:
+        (re, kr), (pe, kp), (t_op, kt), (fin, kf) = self._in
+        if fin[kf] <= 0.5:
             return
-        re = self.read("RE")
-        pe = self.read("PE")
-        t_op = self.read("TO")
-        prf, rnt, r, e, valid = compute_indicators(re, pe, t_op)
+        prf, rnt, r, e, valid = compute_indicators(re[kr], pe[kp], t_op[kt])
         if valid:
             out = self.out
             out["PRF"] = prf

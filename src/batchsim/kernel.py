@@ -63,16 +63,13 @@ class NumericFault(SimulationError):
 
 class SimClock:
     """Simulation time base: the step ``dt`` and ``tick_index``, the
-    number of ticks stepped so far, which :func:`step` advances."""
+    number of ticks stepped so far, which :func:`step` counts up."""
 
     __slots__ = ("dt", "tick_index")
 
     def __init__(self, dt: float):
         self.dt = dt
         self.tick_index = 0
-
-    def advance(self) -> None:
-        self.tick_index += 1
 
 
 class Block:
@@ -245,8 +242,9 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
     block with its own ``evaluate`` evaluates once in plan order, then
     delay blocks latch, through the methods bound at build.  Then every
     port that holds a value is screened: a non-finite one raises
-    :class:`NumericFault`.  A block's halt request only sets
-    ``graph.halt_flag``: ``step`` stops nothing.
+    :class:`NumericFault`.  Last, ``clock.tick_index`` counts the tick.
+    A block's halt request only sets ``graph.halt_flag``: ``step`` stops
+    nothing.
     """
     fired = graph._fired
     if fired:
@@ -266,7 +264,7 @@ def step(graph: BlockGraph, clock: SimClock) -> SimClock:
             if v - v != 0.0:
                 _raise_numeric_fault(graph, clock)
 
-    clock.advance()
+    clock.tick_index += 1
     return clock
 
 

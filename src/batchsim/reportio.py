@@ -1,9 +1,9 @@
 """Sweep report serialization: operations.csv and summary.txt.
 
-Numbers are written with nine significant digits so the files are
-deterministic and round-trip cleanly; invalid indicators appear as
-``nan``.  Files are written to a temp name and renamed into place, so an
-error can never leave a partially written report behind.
+Write-only: numbers are written with nine significant digits so the
+files are deterministic; invalid indicators appear as ``nan``.  Files
+are written to a temp name and renamed into place, so an error can
+never leave a partially written report behind.
 """
 
 from __future__ import annotations
@@ -23,19 +23,12 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _parse_flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(f"flag must be 1 or 0, got {cell!r}")
-    return cell == "1"
-
-
-# (write, read) of a column, by the type of its record field.
-_CODECS = {float: (_fmt, float), int: (str, int),
-           bool: (lambda v: "1" if v else "0", _parse_flag)}
+# The writer of a column, by the type of its record field.
+_CODECS = {float: _fmt, int: str, bool: lambda v: "1" if v else "0"}
 # One column per OperationRecord field, in declaration order.
-_COLUMNS = [(name, *_CODECS[kind])
+_COLUMNS = [(name, _CODECS[kind])
             for name, kind in get_type_hints(OperationRecord).items()]
-CSV_HEADER = [name for name, _, _ in _COLUMNS]
+CSV_HEADER = [name for name, _ in _COLUMNS]
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -54,7 +47,7 @@ def _atomic_write(path: Path, content: str) -> None:
 
 
 def _record_row(rec: OperationRecord) -> list[str]:
-    return [write(getattr(rec, name)) for name, write, _ in _COLUMNS]
+    return [write(getattr(rec, name)) for name, write in _COLUMNS]
 
 
 def write_report(report: SweepReport, output_dir) -> list[Path]:
@@ -81,22 +74,3 @@ def write_report(report: SweepReport, output_dir) -> list[Path]:
     _atomic_write(summary_path, summary)
     return [csv_path, summary_path]
 
-
-def read_operations_csv(path) -> list[OperationRecord]:
-    """Parse operations.csv back into records (round-trip support).
-    Lines (LF or CRLF) split on commas, as write_report joins them,
-    unquoted; a wrong header or cell count is refused, naming the line."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = handle.readline().rstrip("\r\n").split(",")
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r} in {path}")
-        for line_num, line in enumerate(handle, start=2):
-            row = line.rstrip("\r\n").split(",")
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path} line {line_num}: expected "
-                    f"{len(CSV_HEADER)} cells, got {len(row)}")
-            records.append(OperationRecord(
-                *(read(cell) for (_, _, read), cell in zip(_COLUMNS, row))))
-    return records

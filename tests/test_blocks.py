@@ -125,6 +125,31 @@ class TestRangeScanner:
         # 4 strobes walk the range (RPT on the 4th); the 5th halts.
         assert halts == [False] * 4 + [True]
 
+    @pytest.mark.parametrize("direction",
+                             ["ascending", "descending", 2, -1, 0.5, None])
+    def test_direction_other_than_0_or_1_rejected(self, direction):
+        # Read by truthiness, "ascending" used to scan descending.
+        with pytest.raises(InvalidRange, match="direction"):
+            enumerate_scan_values(0.6, 1.0, 0.2, direction)
+        with pytest.raises(InvalidRange, match="direction"):
+            RangeScanner("control", 0.6, 1.0, 0.2, direction=direction)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 2, None, math.nan])
+    def test_stop_flag_that_is_no_bool_rejected(self, flag):
+        # Read by truthiness, "false" used to halt on the boundary.
+        with pytest.raises(InvalidRange, match="stop_on_boundary"):
+            RangeScanner("control", 0.6, 1.0, 0.2, stop_on_boundary=flag)
+
+    @pytest.mark.parametrize("direction, flag",
+                             [(0, 0), (1, 1), (False, True), (True, False)])
+    def test_bools_and_the_ints_0_and_1_accepted(self, direction, flag):
+        scanner = RangeScanner("control", 0.6, 1.0, 0.2,
+                               direction=direction, stop_on_boundary=flag)
+        assert scanner.points == enumerate_scan_values(0.6, 1.0, 0.2,
+                                                       direction)
+        assert scanner.points[0] == (1.0 if direction else 0.6)
+        assert scanner.stop_on_boundary is bool(flag)
+
     def test_fifty_randomized_configurations_match_reference(self):
         rng = random.Random(20240817)
         for _ in range(50):

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
-import math
 import os
 
 import pytest
 
 from batchsim import (CSV_HEADER, ParseError, SweepConfig, ValidationError,
-                      load_config, parse_config, read_operations_csv,
-                      run_sweep, validate_plant_config, validate_sweep_config,
+                      load_config, parse_config, run_sweep,
+                      validate_plant_config, validate_sweep_config,
                       write_report)
 from batchsim.cli import main
 
@@ -19,6 +19,12 @@ from conftest import REFERENCE_INI, make_reference_plant, make_reference_sweep
 
 def read_reference_text():
     return REFERENCE_INI.read_text(encoding="utf-8")
+
+
+def read_csv_rows(csv_path):
+    """The rows of an operations.csv, each a dict of cells by header name."""
+    with open(csv_path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 class TestParseConfig:
@@ -138,20 +144,15 @@ class TestWriteReport:
 
     def test_round_trip_to_emitted_precision(self, small_report, tmp_path):
         csv_path, _ = write_report(small_report, tmp_path)
-        back = read_operations_csv(csv_path)
-        for original, parsed in zip(small_report.records, back):
-            assert parsed.num == original.num
-            assert parsed.valid == original.valid
+        rows = read_csv_rows(csv_path)
+        assert len(rows) == len(small_report.records)
+        for original, cells in zip(small_report.records, rows):
+            assert cells["num"] == str(original.num)
+            assert cells["valid"] == ("1" if original.valid else "0")
             for field in ("control_k", "t_op", "rtv", "rpv", "ptv", "rwv",
                           "re", "pe", "prf", "rnt", "r", "e"):
-                assert getattr(parsed, field) == pytest.approx(
+                assert float(cells[field]) == pytest.approx(
                     getattr(original, field), rel=1e-8)
-
-    def test_crlf_line_endings_read_as_lf(self, small_report, tmp_path):
-        csv_path, _ = write_report(small_report, tmp_path)
-        lf = read_operations_csv(csv_path)
-        csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
-        assert read_operations_csv(csv_path) == lf
 
     def test_rewrite_is_byte_identical(self, small_report, tmp_path):
         first = tmp_path / "a"
@@ -172,32 +173,6 @@ class TestWriteReport:
         row = csv_path.read_text().splitlines()[1].split(",")
         assert row[-1] == "0"
         assert row[9:13] == ["nan", "nan", "nan", "nan"]
-        parsed = read_operations_csv(csv_path)[0]
-        assert not parsed.valid
-        assert math.isnan(parsed.rnt)
-
-    @pytest.mark.parametrize("cell", ["yes", "", "2", "true"])
-    def test_malformed_valid_cell_rejected(self, small_report, tmp_path,
-                                           cell):
-        # Only 1 or 0 is a flag; anything else used to parse as False.
-        csv_path, _ = write_report(small_report, tmp_path)
-        header, row, *rest = csv_path.read_text().splitlines()
-        row = row.rsplit(",", 1)[0] + "," + cell
-        csv_path.write_text("\n".join([header, row, *rest]) + "\n")
-        with pytest.raises(ValueError):
-            read_operations_csv(csv_path)
-
-    @pytest.mark.parametrize("shape", ["extra cell", "missing cells"])
-    def test_row_with_wrong_cell_count_rejected(self, small_report, tmp_path,
-                                                shape):
-        # An extra cell used to be dropped silently and a short row raised
-        # TypeError; either is refused with the offending line named.
-        csv_path, _ = write_report(small_report, tmp_path)
-        header, row, *rest = csv_path.read_text().splitlines()
-        row = row + ",1" if shape == "extra cell" else row.rsplit(",", 2)[0]
-        csv_path.write_text("\n".join([header, row, *rest]) + "\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_operations_csv(csv_path)
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_report_files_follow_umask(self, small_report, tmp_path, umask):
@@ -339,9 +314,9 @@ class TestCli:
         rc = main(["run-once", "--config", str(REFERENCE_INI),
                    "--out", str(out_dir), "--k", "1.5"])
         assert rc == 0
-        records = read_operations_csv(out_dir / "operations.csv")
-        assert len(records) == 1
-        assert records[0].control_k == 1.5
+        rows = read_csv_rows(out_dir / "operations.csv")
+        assert len(rows) == 1
+        assert rows[0]["control_k"] == "1.5"
 
     @pytest.mark.parametrize("command", ["sweep", "run-once"])
     @pytest.mark.parametrize("dt", ["nan", "inf", "0", "-1", "500"])

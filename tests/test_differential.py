@@ -37,7 +37,7 @@ def reference_step(graph, clock):
         for port, v in b.out.items():
             if not math.isfinite(v):
                 raise NumericFault(b.name, port, clock.tick_index)
-    clock.advance()
+    clock.tick_index += 1
     return clock
 
 

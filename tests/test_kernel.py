@@ -245,19 +245,21 @@ def _calls_per_heating_tick(graph):
     return per_tick
 
 
-def test_heating_tick_makes_at_most_21_calls():
+def test_heating_tick_makes_at_most_20_calls():
     # An exact count, not a timing, so per-tick work cannot creep back
     # unnoticed: 74 before the per-tick lists were bound at build, 49
-    # before the built-in blocks read their bound input slots.
+    # before the built-in blocks read their bound input slots, 21 while
+    # step called the clock to count the tick.
     graph = sweep.build_sweep_graph(make_reference_plant(),
                                     make_reference_sweep())
-    assert _calls_per_heating_tick(graph) <= 21
+    assert _calls_per_heating_tick(graph) <= 20
 
 
-def test_single_graph_heating_tick_makes_at_most_16_calls():
-    # 40 before the built-in blocks read their bound input slots.
+def test_single_graph_heating_tick_makes_at_most_15_calls():
+    # 40 before the built-in blocks read their bound input slots, 16
+    # while step called the clock to count the tick.
     graph = sweep.build_single_graph(make_reference_plant(), 1.0)
-    assert _calls_per_heating_tick(graph) <= 16
+    assert _calls_per_heating_tick(graph) <= 15
 
 
 def test_a_block_that_rebinds_out_leaves_step_but_not_check_outs():
