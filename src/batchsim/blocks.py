@@ -70,7 +70,8 @@ class Constant(Block):
 
 
 class PulseTrain(Block):
-    """Pulse source firing once, on tick 0, to kick off a run."""
+    """Pulse source firing once, on tick 0; no run graph builds it, but
+    user graphs and the benchmark's one-block timings may."""
 
     output_ports = ("OUT",)
 
@@ -82,17 +83,17 @@ class PulseTrain(Block):
 class UnitDelay(Block):
     """One-tick delay; the only element allowed to close feedback loops.
 
-    Outputs the previous tick's input (initially 0) and latches the new
-    input once the whole tick has evaluated.
+    Outputs ``initial`` on tick 0, then the previous tick's input, and
+    latches the new input once the whole tick has evaluated.
     """
 
     input_ports = ("IN",)
     output_ports = ("OUT",)
     breaks_cycle = True
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, initial: float = 0.0):
         super().__init__(name)
-        self._state = 0.0
+        self._state = float(initial)
 
     def evaluate(self, clock: SimClock) -> None:
         self.out["OUT"] = self._state

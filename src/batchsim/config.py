@@ -21,7 +21,7 @@ from typing import NamedTuple, get_type_hints
 
 from .blocks import InvalidRange, enumerate_scan_values
 from .econ import BUILTIN_CRITERIA
-from .plant import PlantConfig, UnitCosts
+from .plant import PlantConfig, UnitCosts, feasible_control_range
 
 
 class ParseError(Exception):
@@ -132,6 +132,17 @@ def validate_plant_config(cfg: PlantConfig) -> None:
         raise ValidationError(
             "setpoint", f"must be finite and exceed ambient_temp "
             f"({cfg.ambient_temp:g}), got {cfg.setpoint:g}")
+    # Products of finite fields can still underflow or overflow.
+    p_eta = cfg.heater_nominal_power * cfg.heater_efficiency
+    if not p_eta > 0.0:
+        raise ValidationError(
+            "heater_efficiency", f"heater_nominal_power * heater_efficiency "
+            f"must be > 0, got {p_eta:g}")
+    floor = feasible_control_range(cfg)
+    if not floor < math.inf:  # also false for NaN
+        raise ValidationError(
+            "setpoint", f"{cfg.setpoint:g} gives the feasible control floor "
+            f"{floor:g}, which is not finite")
     _require_positive("t_nominal", cfg.wear_t_nominal)
     if not 0.0 <= cfg.wear_alpha < math.inf:
         raise ValidationError("alpha", "must be finite and >= 0")

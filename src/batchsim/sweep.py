@@ -21,9 +21,9 @@ from math import inf, log1p
 from typing import NamedTuple
 
 from . import kernel
-from .blocks import (Constant, IntervalTimer, Multiplier, PulseTrain,
-                     RangeScanner, ReportGenerator, ResettableIntegrator,
-                     Summator, UnitDelay, enumerate_scan_values)
+from .blocks import (Constant, IntervalTimer, Multiplier, RangeScanner,
+                     ReportGenerator, ResettableIntegrator, Summator,
+                     UnitDelay, enumerate_scan_values)
 from .config import (DEFAULT_CRITERION, DEFAULT_TICK_BUDGET, SweepConfig,
                      ValidationError, _require_positive, validate_plant_config,
                      validate_run_settings, validate_sweep_config)
@@ -230,26 +230,22 @@ def _instrument_wiring(plant_cfg: PlantConfig) -> tuple[list, list]:
 def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
     """Full sweep protocol graph.
 
-    A one-shot pulse strobes the scanner at tick 0; afterwards each
-    operation-complete pulse, delayed one tick to break the feedback
-    loop, strobes the scanner to advance the control for the next
-    operation.  With stop_on_boundary set, the strobe that follows the
-    boundary operation raises the halt flag, which ``_run`` checks.
+    Each operation-complete pulse, delayed one tick to break the
+    feedback loop, strobes the scanner to advance the control; the
+    delay's initial condition, 1.0, strobes it on tick 0.  With
+    stop_on_boundary set, the strobe that follows the boundary operation
+    raises the halt flag, which ``_run`` checks.
     """
     blocks, wires = _instrument_wiring(plant_cfg)
     blocks += [
-        PulseTrain("start"),
-        UnitDelay("ptf_delay"),
-        Summator("strobe", n_inputs=2),
+        UnitDelay("ptf_delay", initial=1.0),
         RangeScanner("control", sweep.k_min, sweep.k_max, sweep.k_step,
                      direction=sweep.direction_code(),
                      stop_on_boundary=sweep.stop_on_boundary),
     ]
     wires += [
         ("plant.PTF", "ptf_delay.IN"),
-        ("start.OUT", "strobe.IN1"),
-        ("ptf_delay.OUT", "strobe.IN2"),
-        ("strobe.OUT", "control.STR"),
+        ("ptf_delay.OUT", "control.STR"),
     ]
     return build_graph(blocks, wires)
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from batchsim import (Constant, IntervalTimer, InvalidRange, Multiplier,
                       PulseTrain, RangeScanner, ReportGenerator,
-                      ResettableIntegrator, SimClock, Summator, build_graph,
-                      enumerate_scan_values, step)
+                      ResettableIntegrator, SimClock, Summator, UnitDelay,
+                      build_graph, enumerate_scan_values, step)
 
 from test_kernel import PulseAt, PulseEvery, SequenceSource
 
@@ -367,6 +367,20 @@ class TestPulseTrain:
             step(graph, clock)
             seen.append(graph.value("p.OUT"))
         assert seen == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+class TestUnitDelay:
+    @pytest.mark.parametrize("kwargs, first", [({}, 0.0),
+                                               ({"initial": 1.0}, 1.0)])
+    def test_initial_condition_then_latched_input(self, kwargs, first):
+        graph = build_graph([Constant("c", 5.0), UnitDelay("d", **kwargs)],
+                            [("c.OUT", "d.IN")])
+        clock = SimClock(dt=0.1)
+        seen = []
+        for _ in range(3):
+            step(graph, clock)
+            seen.append(graph.value("d.OUT"))
+        assert seen == [first, 5.0, 5.0]
 
 
 class TestReportGenerator:

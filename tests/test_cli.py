@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import re
 
 import pytest
 
 from batchsim import (CSV_HEADER, ParseError, SweepConfig, ValidationError,
-                      load_config, parse_config, run_sweep,
+                      load_config, parse_config, run_single, run_sweep,
                       validate_plant_config, validate_sweep_config,
                       write_report)
 from batchsim.cli import main
@@ -123,6 +124,38 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             validate_sweep_config(SweepConfig(0.5, 2.0, 0.2,
                                               criterion="bogus"))
+
+
+# Plants whose fields are each finite and in range but whose products
+# are not: 0 * inf makes the feasible control floor NaN, P*eta
+# underflows to 0, and loss_coeff * (setpoint - ambient_temp) overflows
+# the floor to inf.
+@pytest.mark.parametrize("fields, named", [
+    ({"ambient_temp": -1e308, "setpoint": 1e308, "loss_coeff": 0.0},
+     "setpoint"),
+    ({"heater_nominal_power": 1e-300, "heater_efficiency": 1e-30},
+     "heater_efficiency"),
+    ({"setpoint": 1e308}, "setpoint"),
+], ids=["nan_floor", "p_eta_underflow", "inf_floor"])
+def test_plant_products_refused_on_entry(tmp_path, capsys, fields, named):
+    plant = make_reference_plant()._replace(**fields)
+    for run in (lambda: run_sweep(plant, make_reference_sweep()),
+                lambda: run_single(plant, 1.0)):
+        with pytest.raises(ValidationError) as excinfo:
+            run()
+        assert excinfo.value.field == named
+    text = read_reference_text()
+    for key, value in fields.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text,
+                      flags=re.MULTILINE)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    with pytest.raises(ValidationError) as excinfo:
+        load_config(cfg)
+    assert excinfo.value.field == named
+    assert main(["validate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}: ")
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import struct
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from batchsim import (BatchHeaterPlant, Block, Constant, IntervalTimer,
@@ -88,6 +89,8 @@ ARGS = {
     "const": st.tuples(st.one_of(st.sampled_from(SPECIAL),
                                  st.floats(-10.0, 10.0))),
     "every": st.tuples(st.integers(1, 7)),
+    "delay": st.tuples(st.one_of(st.sampled_from(SPECIAL),
+                                 st.floats(-10.0, 10.0))),
     "sum": st.tuples(st.integers(1, 3)),
     "scanner": st.tuples(st.integers(-8, 8), st.integers(1, 4),
                          st.integers(1, 4), st.integers(0, 1),
@@ -169,19 +172,18 @@ def run(spec, stepper):
     return states, ended, clock.tick_index
 
 
-# The sweep protocol on the fast plant: a start pulse and the delayed PTF
-# strobe the scanner, which drives the plant; PTF latches a report row of
-# the control, the operation's time and its integrated energy.
+# The sweep protocol on the fast plant: the delayed PTF strobes the
+# scanner, and the delay's initial condition strobes it on tick 0; the
+# scanner drives the plant, and PTF latches a report row of the control,
+# the operation's time and its integrated energy.
 SWEEP_PROTOCOL = (
-    [("pulse", ()), ("delay", ()), ("sum", (2,)),
-     ("scanner", (2, 3, 2, 0, True)), ("plant", ()), ("timer", ()),
-     ("integ", ()), ("report", ())],
-    [(4, "PTF", 1, "IN"), (0, "OUT", 2, "IN1"), (1, "OUT", 2, "IN2"),
-     (2, "OUT", 3, "STR"), (3, "OUT", 4, "CL"), (4, "RTB", 5, "STR"),
-     (4, "PTF", 5, "FIN"), (4, "RP", 6, "IN"), (4, "RTB", 6, "RES"),
-     (4, "PTF", 7, "STR"), (3, "OUT", 7, "IN1"), (5, "TIM", 7, "IN2"),
-     (6, "OUT", 7, "IN3")],
-    [7, 6, 5, 4, 3, 2, 1, 0], 60)
+    [("delay", (1.0,)), ("scanner", (2, 3, 2, 0, True)), ("plant", ()),
+     ("timer", ()), ("integ", ()), ("report", ())],
+    [(2, "PTF", 0, "IN"), (0, "OUT", 1, "STR"), (1, "OUT", 2, "CL"),
+     (2, "RTB", 3, "STR"), (2, "PTF", 3, "FIN"), (2, "RP", 4, "IN"),
+     (2, "RTB", 4, "RES"), (2, "PTF", 5, "STR"), (1, "OUT", 5, "IN1"),
+     (3, "TIM", 5, "IN2"), (4, "OUT", 5, "IN3")],
+    [5, 4, 3, 2, 1, 0], 60)
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,3 +208,11 @@ def test_sweep_protocol_example_runs_operations():
     _, halted, rows, (events,) = states[-1]
     assert ended is None and ticks == 60 and halted
     assert len(rows) == [name for name, _ in events].count("ptf") == 6
+
+
+@pytest.mark.parametrize("stepper", [step, reference_step])
+@pytest.mark.parametrize("initial", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_initial_condition_faults_at_tick_0(stepper, initial):
+    _, ended, ticks = run(([("delay", (initial,))], [], [0], 3), stepper)
+    assert ended[0] is NumericFault and ticks == 0
+    assert ended[2:] == ("delay0", "OUT", 0)
