@@ -17,7 +17,7 @@ from .kernel import Block, SimClock, SimulationError
 
 class InvalidRange(SimulationError):
     """Scan range empty or not finite, step not finite and positive, more
-    than a million steps, or a direction or stop flag not 0 or 1."""
+    than a million steps, or a direction not 0 or 1."""
 
 
 # Relative slack used when deciding that a scan value has reached the far
@@ -177,12 +177,11 @@ class RangeScanner(Block):
     """Linear scanner stepping a control signal across a range.
 
     The construction takes the points, and refuses a bad range, once
-    through :func:`enumerate_scan_values`, and refuses a non-bool
-    ``stop_on_boundary``.  Each STR strobe emits the next point on OUT;
-    the strobe that emits the last one, the far boundary, also raises the
-    RPT level.  Strobes after RPT never restart the scan: with
-    ``stop_on_boundary`` set they raise the graph's halt flag instead,
-    which a strobe-per-operation protocol reads as the end of the run,
+    through :func:`enumerate_scan_values`.  Each STR strobe emits the
+    next point on OUT; the strobe that emits the last one, the far
+    boundary, also raises the RPT level.  Strobes after RPT never restart
+    the scan: each raises the graph's halt flag instead, which a caller
+    running one operation per strobe may read as the end of the run,
     right after the boundary operation completes.
     """
 
@@ -190,14 +189,10 @@ class RangeScanner(Block):
     output_ports = ("OUT", "RPT")
 
     def __init__(self, name: str, minimum: float, maximum: float, step: float,
-                 direction: int = 0, stop_on_boundary: bool = False):
+                 direction: int = 0):
         super().__init__(name)
         self.points = enumerate_scan_values(float(minimum), float(maximum),
                                             float(step), direction)
-        if stop_on_boundary not in (0, 1):
-            raise InvalidRange(f"stop_on_boundary must be a bool, "
-                               f"got {stop_on_boundary!r}")
-        self.stop_on_boundary = bool(stop_on_boundary)
         self._emitted = 0
 
     def evaluate(self, clock: SimClock) -> None:
@@ -205,8 +200,7 @@ class RangeScanner(Block):
         if strobe[key] <= 0.5:
             return
         if self.out["RPT"]:
-            if self.stop_on_boundary:
-                self.request_halt()
+            self.request_halt()
             return
         self.out["OUT"] = self.points[self._emitted]
         self._emitted += 1

@@ -91,10 +91,11 @@ def oracle_heating_time(config: PlantConfig, control_k: float) -> float:
     Solves dT/dt = (k*P*eta - h*(T - T_amb)) / C from ambient up to the
     setpoint.  With losses the time is -(C/h)*ln(1 - h*dT/(k*P*eta));
     without losses it degrades to C*dT/(k*P*eta).  log1p keeps the h -> 0
-    limit numerically clean.  A control whose delivered power does not
-    beat the losses at the setpoint is refused; the power is grouped as
-    the plant groups it, k*(P*eta), so the two refuse the same controls.
+    limit numerically clean.  A control not finite and > 0, or whose
+    power does not beat the losses at the setpoint, is refused; the power
+    is grouped as the plant groups it, k*(P*eta), so both refuse alike.
     """
+    _require_positive("control_k", control_k)
     power = control_k * (config.heater_nominal_power
                          * config.heater_efficiency)
     delta = config.setpoint - config.ambient_temp
@@ -109,12 +110,13 @@ def oracle_heating_time(config: PlantConfig, control_k: float) -> float:
 
 
 def oracle_operation(config: PlantConfig, control_k: float) -> dict[str, float]:
-    """Closed-form per-operation times and flow volumes at one control."""
+    """Closed-form per-operation times and flow volumes at one control,
+    which it refuses as the entry check does."""
     heat = oracle_heating_time(config, control_k)
     fill = config.batch_volume / config.fill_rate
     release = config.batch_volume / config.release_intensity
     rpv = control_k * config.heater_nominal_power * heat
-    rwv = wear_rate(control_k, config) * heat
+    rwv = _finite_wear_rate(config, control_k, "control_k") * heat
     return {
         "heat_time": heat,
         "t_op": fill + heat + release,
@@ -123,6 +125,19 @@ def oracle_operation(config: PlantConfig, control_k: float) -> dict[str, float]:
         "ptv": config.batch_volume,
         "rwv": rwv,
     }
+
+
+def _finite_wear_rate(config: PlantConfig, k: float, field: str) -> float:
+    """The wear rate at ``k``; an overflow of k**alpha names ``field``."""
+    try:
+        rate = wear_rate(k, config)
+    except OverflowError:  # k**alpha
+        raise ValidationError(field, "the wear rate k**alpha overflows at "
+                              f"{k:g}") from None
+    if not rate < inf:  # k**alpha / t_nominal
+        raise ValidationError("t_nominal", "the wear rate k**alpha/t_nominal"
+                              f" overflows at {k:g}")
+    return rate
 
 
 def oracle_ticks(config: PlantConfig, control_k: float, dt: float,
@@ -232,16 +247,14 @@ def build_sweep_graph(plant_cfg: PlantConfig, sweep: SweepConfig) -> BlockGraph:
 
     Each operation-complete pulse, delayed one tick to break the
     feedback loop, strobes the scanner to advance the control; the
-    delay's initial condition, 1.0, strobes it on tick 0.  With
-    stop_on_boundary set, the strobe that follows the boundary operation
-    raises the halt flag, which ``_run`` checks.
+    delay's initial condition, 1.0, strobes it on tick 0.  The strobe
+    after the boundary flags a halt; only stop_on_boundary steps it.
     """
     blocks, wires = _instrument_wiring(plant_cfg)
     blocks += [
         UnitDelay("ptf_delay", initial=1.0),
         RangeScanner("control", sweep.k_min, sweep.k_max, sweep.k_step,
-                     direction=sweep.direction_code(),
-                     stop_on_boundary=sweep.stop_on_boundary),
+                     direction=sweep.direction_code()),
     ]
     wires += [
         ("plant.PTF", "ptf_delay.IN"),
@@ -293,14 +306,7 @@ def check_entry(plant_cfg: PlantConfig, ks: list[float], dt: float,
         raise ValidationError(low, f"{min(ks):g} is below the feasible "
                               f"control floor {k_floor:g}")
     # alpha >= 0, so the wear rate k**alpha/t_nominal is largest at the top.
-    try:
-        top_wear = wear_rate(max(ks), plant_cfg)
-    except OverflowError:  # k**alpha
-        raise ValidationError(high, "the wear rate k**alpha overflows at "
-                              f"{max(ks):g}") from None
-    if not top_wear < inf:
-        raise ValidationError("t_nominal", "the wear rate k**alpha/t_nominal"
-                              f" overflows at {max(ks):g}")
+    _finite_wear_rate(plant_cfg, max(ks), high)
     heat_times = [oracle_heating_time(plant_cfg, k) for k in ks]
     limit = min(plant_cfg.batch_volume / plant_cfg.fill_rate,
                 plant_cfg.batch_volume / plant_cfg.release_intensity,

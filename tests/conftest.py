@@ -64,3 +64,10 @@ def coarse_report(reference_plant, reference_sweep):
     """The reference 13-point sweep at dt=0.1, shared by tests that only
     read it."""
     return run_sweep(reference_plant, reference_sweep, dt=0.1)
+
+
+@pytest.fixture(scope="session")
+def no_boundary_report(reference_plant, reference_sweep):
+    """The same sweep without stop_on_boundary, shared likewise."""
+    sweep = reference_sweep._replace(stop_on_boundary=False)
+    return run_sweep(reference_plant, sweep, dt=0.1)

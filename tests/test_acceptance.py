@@ -31,11 +31,14 @@ GOLDEN_DIGESTS = {
 }
 
 # sha256 of repr(report.pulse_events): the reference sweep at dt=0.1 (53
-# events, ending with the stray rtb of the halting tick) and
+# events, ending with the stray rtb of the halting tick), the same sweep
+# without stop_on_boundary (52 events, ending with the last ptf) and
 # run_single(reference plant, 0.7).
 GOLDEN_PULSE_DIGESTS = {
     "sweep":
         "755d2c6aa4901fe0e3a881d022b4659888742d80c25e03375a3c5ef0c1da4996",
+    "sweep_no_boundary":
+        "f1c12be6c447f4eecbf4bb7ccdca7d96dee563dabf973d640920d929c9af232c",
     "single_0.7":
         "1839c28240e210642ec4c4347724e69d3c86789d1adee3e89e229aed0df7f2e0",
 }
@@ -185,7 +188,7 @@ def test_criterion_7_scanner_protocol():
                                            direction)
 
         scanner = RangeScanner("control", minimum, maximum, step_size,
-                               direction=direction, stop_on_boundary=True)
+                               direction=direction)
         strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner],
                             [("strobe.OUT", "control.STR")])
@@ -261,8 +264,10 @@ def test_reference_report_matches_golden_digests(coarse_report, tmp_path):
             for p in paths} == GOLDEN_DIGESTS
 
 
-def test_pulse_streams_match_golden_digests(coarse_report, reference_plant):
+def test_pulse_streams_match_golden_digests(coarse_report, no_boundary_report,
+                                            reference_plant):
     reports = {"sweep": coarse_report,
+               "sweep_no_boundary": no_boundary_report,
                "single_0.7": run_single(reference_plant, 0.7)}
     assert {name: hashlib.sha256(repr(r.pulse_events).encode()).hexdigest()
             for name, r in reports.items()} == GOLDEN_PULSE_DIGESTS
@@ -290,12 +295,13 @@ def _twin_pulse_events(plant, ks, dt, stray_start):
 def test_discrete_twin_reproduces_golden_pulse_streams(reference_plant,
                                                        reference_sweep):
     sweep = reference_sweep
+    ks = enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
+                               sweep.direction_code())
     streams = {
-        "sweep": _twin_pulse_events(
-            reference_plant,
-            enumerate_scan_values(sweep.k_min, sweep.k_max, sweep.k_step,
-                                  sweep.direction_code()),
-            0.1, stray_start=True),
+        "sweep": _twin_pulse_events(reference_plant, ks, 0.1,
+                                    stray_start=True),
+        "sweep_no_boundary": _twin_pulse_events(reference_plant, ks, 0.1,
+                                                stray_start=False),
         "single_0.7": _twin_pulse_events(reference_plant, [0.7], 0.1,
                                          stray_start=False)}
     assert {name: hashlib.sha256(repr(events).encode()).hexdigest()

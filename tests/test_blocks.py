@@ -51,8 +51,6 @@ def drive_scanner(scanner, n_strobes, collect_rpt=False):
         step(graph, clock)
         outs.append(graph.value("control.OUT"))
         rpts.append(graph.value("control.RPT"))
-        if graph.halt_flag:
-            break
     return (outs, rpts) if collect_rpt else outs
 
 
@@ -112,18 +110,23 @@ class TestRangeScanner:
         assert outs == [2.0, 4.0, 6.0, 8.0, 8.0, 8.0, 8.0]
         assert rpts[3:] == [1.0] * 4  # RPT is a level and stays raised
 
-    def test_stop_on_boundary_halts_one_strobe_after_rpt(self):
-        scanner = RangeScanner("control", 2.0, 8.0, 2.0,
-                               stop_on_boundary=True)
+    def test_every_strobe_after_rpt_flags_a_halt(self):
+        # The scanner has no stop switch: the run decides whether to step
+        # the halting tick.
+        with pytest.raises(TypeError):
+            RangeScanner("control", 2.0, 8.0, 2.0, stop_on_boundary=True)
+        scanner = RangeScanner("control", 2.0, 8.0, 2.0)
         strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
         clock = SimClock(dt=0.1)
         halts = []
-        for _ in range(5):
+        for _ in range(6):
             step(graph, clock)
             halts.append(graph.halt_flag)
-        # 4 strobes walk the range (RPT on the 4th); the 5th halts.
-        assert halts == [False] * 4 + [True]
+            graph.halt_flag = False  # so each tick shows its own request
+        # 4 strobes walk the range (RPT on the 4th); the 5th and 6th halt.
+        assert halts == [False] * 4 + [True] * 2
+        assert not hasattr(scanner, "stop_on_boundary")
 
     @pytest.mark.parametrize("direction",
                              ["ascending", "descending", 2, -1, 0.5, None])
@@ -134,21 +137,12 @@ class TestRangeScanner:
         with pytest.raises(InvalidRange, match="direction"):
             RangeScanner("control", 0.6, 1.0, 0.2, direction=direction)
 
-    @pytest.mark.parametrize("flag", ["false", "true", 2, None, math.nan])
-    def test_stop_flag_that_is_no_bool_rejected(self, flag):
-        # Read by truthiness, "false" used to halt on the boundary.
-        with pytest.raises(InvalidRange, match="stop_on_boundary"):
-            RangeScanner("control", 0.6, 1.0, 0.2, stop_on_boundary=flag)
-
-    @pytest.mark.parametrize("direction, flag",
-                             [(0, 0), (1, 1), (False, True), (True, False)])
-    def test_bools_and_the_ints_0_and_1_accepted(self, direction, flag):
-        scanner = RangeScanner("control", 0.6, 1.0, 0.2,
-                               direction=direction, stop_on_boundary=flag)
+    @pytest.mark.parametrize("direction", [0, 1, False, True])
+    def test_bools_and_the_ints_0_and_1_accepted(self, direction):
+        scanner = RangeScanner("control", 0.6, 1.0, 0.2, direction=direction)
         assert scanner.points == enumerate_scan_values(0.6, 1.0, 0.2,
                                                        direction)
         assert scanner.points[0] == (1.0 if direction else 0.6)
-        assert scanner.stop_on_boundary is bool(flag)
 
     def test_fifty_randomized_configurations_match_reference(self):
         rng = random.Random(20240817)
@@ -196,10 +190,9 @@ class TestRangeScanner:
     @given(minimum=st.floats(-50, 50, allow_nan=False),
            span=st.floats(0.1, 30.0, allow_nan=False),
            ratio=st.floats(0.05, 2.0, allow_nan=False),
-           direction=st.sampled_from((0, 1)),
-           stop_on_boundary=st.booleans())
+           direction=st.sampled_from((0, 1)))
     def test_rpt_and_halt_follow_the_boundary(self, minimum, span, ratio,
-                                              direction, stop_on_boundary):
+                                              direction):
         # RPT is the scanner's only record of reaching the boundary, so
         # it alone must decide both the hold and the halt.
         maximum = minimum + span
@@ -208,8 +201,7 @@ class TestRangeScanner:
                                            direction)
         n = len(expected)
         scanner = RangeScanner("control", minimum, maximum, step_size,
-                               direction=direction,
-                               stop_on_boundary=stop_on_boundary)
+                               direction=direction)
         strobe = PulseEvery("strobe", 1)
         graph = build_graph([strobe, scanner], [("strobe.OUT", "control.STR")])
         clock = SimClock(dt=0.1)
@@ -221,7 +213,7 @@ class TestRangeScanner:
             halts.append(graph.halt_flag)
         assert outs == expected + [expected[-1]] * 2
         assert rpts == [0.0] * (n - 1) + [1.0] * 3
-        assert halts == [False] * n + [stop_on_boundary] * 2
+        assert halts == [False] * n + [True] * 2
 
 
 class TestIntervalTimer:

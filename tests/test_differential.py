@@ -77,8 +77,8 @@ MAKERS = {
     "sum": lambda name, n: Summator(name, n_inputs=n),
     "integ": ResettableIntegrator,
     "timer": IntervalTimer,
-    "scanner": lambda name, lo, n, step, direction, stop: RangeScanner(
-        name, lo / 4, (lo + n * step) / 4, step / 4, direction, stop),
+    "scanner": lambda name, lo, n, step, direction: RangeScanner(
+        name, lo / 4, (lo + n * step) / 4, step / 4, direction),
     "report": ReportGenerator,
     "plant": lambda name: BatchHeaterPlant(name, FAST_PLANT),
     "wear": lambda name, t_nominal, alpha: WearRateGenerator(
@@ -93,8 +93,7 @@ ARGS = {
                                  st.floats(-10.0, 10.0))),
     "sum": st.tuples(st.integers(1, 3)),
     "scanner": st.tuples(st.integers(-8, 8), st.integers(1, 4),
-                         st.integers(1, 4), st.integers(0, 1),
-                         st.booleans()),
+                         st.integers(1, 4), st.integers(0, 1)),
     "wear": st.tuples(st.sampled_from([100.0, 1e-300]),
                       st.sampled_from([0.0, 2.0, 3.0, 1000.0])),
 }
@@ -177,7 +176,7 @@ def run(spec, stepper):
 # scanner drives the plant, and PTF latches a report row of the control,
 # the operation's time and its integrated energy.
 SWEEP_PROTOCOL = (
-    [("delay", (1.0,)), ("scanner", (2, 3, 2, 0, True)), ("plant", ()),
+    [("delay", (1.0,)), ("scanner", (2, 3, 2, 0)), ("plant", ()),
      ("timer", ()), ("integ", ()), ("report", ())],
     [(2, "PTF", 0, "IN"), (0, "OUT", 1, "STR"), (1, "OUT", 2, "CL"),
      (2, "RTB", 3, "STR"), (2, "PTF", 3, "FIN"), (2, "RP", 4, "IN"),

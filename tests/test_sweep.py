@@ -229,6 +229,18 @@ class TestHeatingOracle:
             oracle_heating_time(cfg, 0.4)
         assert excinfo.value.field == "control_k"
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("twin", [
+        oracle_heating_time, oracle_operation,
+        lambda plant, k: oracle_ticks(plant, k, 0.1, 10**5)],
+        ids=["heating_time", "operation", "ticks"])
+    def test_a_control_that_is_not_finite_is_refused(self, twin, k):
+        # nan and inf used to give a nan or 0.0 heating time, nan volumes,
+        # a one-tick heat phase, or a replay to the limit.
+        with pytest.raises(ValidationError) as excinfo:
+            twin(make_reference_plant(), k)
+        assert excinfo.value.field == "control_k"
+
     def test_oracle_operation_volumes(self):
         cfg = make_reference_plant()._replace(loss_coeff=0.0,
                                               heater_efficiency=1.0)
@@ -324,11 +336,10 @@ class TestRunSweep:
             assert excinfo.value.field == "stop_on_boundary"
 
     def test_stop_without_boundary_halt_uses_record_count(
-            self, reference_plant, reference_sweep, coarse_report):
-        sweep = reference_sweep._replace(stop_on_boundary=False)
-        report = run_sweep(reference_plant, sweep)
-        assert [r.control_k for r in report.records] == \
-            [r.control_k for r in coarse_report.records]
+            self, coarse_report, no_boundary_report):
+        # The scanner flags a halt on the tick after the last operation
+        # either way; without the stop the run never steps that tick.
+        assert no_boundary_report.records == coarse_report.records
 
     def test_single_run_matches_sweep_record(self, reference_plant,
                                              coarse_report):
@@ -410,16 +421,24 @@ class TestRunSweep:
             plant_edit, sweep_edit):
         # k**alpha overflows a float at the top of the range.
         monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
+        plant = reference_plant._replace(**plant_edit)
+        sweep = reference_sweep._replace(**sweep_edit)
         with pytest.raises(ValidationError) as excinfo:
-            run_sweep(reference_plant._replace(**plant_edit),
-                      reference_sweep._replace(**sweep_edit))
+            run_sweep(plant, sweep)
         assert excinfo.value.field == "k_max"
+        # The closed form refuses that control by the same rule; it used
+        # to raise a bare OverflowError.
+        with pytest.raises(ValidationError) as excinfo:
+            oracle_operation(plant, sweep.k_max)
+        assert excinfo.value.field == "control_k"
 
-    @pytest.mark.parametrize("entry", ["run_sweep", "run_single"])
+    @pytest.mark.parametrize("entry", ["run_sweep", "run_single",
+                                       "oracle_operation"])
     def test_wear_rate_overflowing_through_t_nominal_names_it_at_entry(
             self, reference_plant, reference_sweep, monkeypatch, entry):
         # k**alpha is finite, but dividing it by a subnormal t_nominal is
-        # not: the run used to fail on wear_gen.OUT at tick 101.
+        # not: the run used to fail on wear_gen.OUT at tick 101, and the
+        # closed form returned rwv = inf.
         monkeypatch.setattr(sweep_module, "build_sweep_graph", _refuse_graph)
         monkeypatch.setattr(sweep_module, "build_single_graph",
                             _refuse_graph)
@@ -427,8 +446,10 @@ class TestRunSweep:
         with pytest.raises(ValidationError) as excinfo:
             if entry == "run_sweep":
                 run_sweep(plant, reference_sweep)
-            else:
+            elif entry == "run_single":
                 run_single(plant, 1.0)
+            else:
+                oracle_operation(plant, 1.0)
         assert excinfo.value.field == "t_nominal"
 
     def test_too_fine_scan_step_names_k_step(self, reference_plant,
